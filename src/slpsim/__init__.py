@@ -20,10 +20,8 @@ from .constellation import (
     ComponentClass,
     ConstellationSpec,
     SUPPORTED_ORDERS,
-    SymbolDecomposition,
     build_constellation,
     classify_component,
-    decompose,
     demodulate,
     modulate,
 )

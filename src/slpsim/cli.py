@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -20,39 +22,12 @@ from .channel import generate_channel, sigma2_from_snr, trial_rng
 from .constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from .errors import ConfigurationError
 from .link_sim import (
+    Experiment,
     LinkConfig,
-    Scheme,
     quantize_broadcast,
     run_monte_carlo,
     simulate_block,
 )
-
-
-class Experiment(str, Enum):
-    BER_SWEEP = "BER_SWEEP"
-    THROUGHPUT_SWEEP = "THROUGHPUT_SWEEP"
-    F_TRACE = "F_TRACE"
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully resolved experiment description (config file plus flag overrides)."""
-
-    users: int = 4
-    antennas: int = 4
-    block_len: int = 50
-    modulation: int = 16
-    schemes: tuple = (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.ZF, Scheme.RZF)
-    total_power: float = 1.0
-    snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-    feedback_bits: int = 5
-    f_max: float = 1.0
-    channels: int = 100
-    seed: int = 1
-    quantization: bool = True
-    experiment: Experiment = Experiment.BER_SWEEP
-    out: str = "results.csv"
-
 
 # Column orders are part of the output contract; never reorder.
 SWEEP_COLUMNS = [
@@ -65,39 +40,35 @@ TRACE_COLUMNS = [
     "snr_db", "block", "symbol", "f", "seed",
 ]
 
+# Longest start:step:stop grid accepted; far beyond any useful sweep.
+MAX_SNR_POINTS = 1000
+
 
 def parse_snr_values(text: str) -> tuple:
     """Parse an SNR grid: a single value, a comma list, or start:step:stop (dB)."""
     text = text.strip()
     try:
-        if ":" in text:
-            start_s, step_s, stop_s = text.split(":")
-            start, step, stop = float(start_s), float(step_s), float(stop_s)
-            if step <= 0:
-                raise ConfigurationError(f"snr_db step must be > 0, got {step}")
-            values = []
-            v = start
-            while v <= stop + 1e-9:
-                values.append(round(v, 9))
-                v += step
-            return tuple(values)
-        if "," in text:
+        if ":" not in text:
             return tuple(float(v) for v in text.split(","))
-        return (float(text),)
+        start, step, stop = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse snr_db value {text!r}") from exc
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ConfigurationError(f"snr_db range bounds must be finite, got {text!r}")
+    if step <= 0:
+        raise ConfigurationError(f"snr_db step must be > 0, got {step}")
+    values = []
+    v = start
+    while v <= stop + 1e-9:
+        if len(values) == MAX_SNR_POINTS:
+            raise ConfigurationError(f"snr_db range {text!r} has more than {MAX_SNR_POINTS} points")
+        values.append(round(v, 9))
+        v += step
+    return tuple(values)
 
 
 def _parse_schemes(text: str) -> tuple:
-    names = [s.strip() for s in text.split(",") if s.strip()]
-    if not names:
-        raise ConfigurationError("schemes must name at least one scheme")
-    try:
-        return tuple(Scheme(name) for name in names)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"unknown scheme in {text!r}; valid: {[s.value for s in Scheme]}"
-        ) from exc
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _parse_bool(text: str) -> bool:
@@ -109,7 +80,7 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"cannot parse boolean value {text!r}")
 
 
-# Config-file keys and their parsers; this is the full documented key list.
+# Config-file keys and their parsers: one per LinkConfig field.
 _CONFIG_PARSERS = {
     "users": int,
     "antennas": int,
@@ -123,7 +94,7 @@ _CONFIG_PARSERS = {
     "channels": int,
     "seed": int,
     "quantization": _parse_bool,
-    "experiment": Experiment,
+    "experiment": str,
     "out": str,
 }
 
@@ -149,48 +120,11 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _validate(spec: ExperimentSpec) -> ExperimentSpec:
-    if spec.users < 1:
-        raise ConfigurationError(f"users must be >= 1, got {spec.users}")
-    if spec.users > spec.antennas:
-        raise ConfigurationError(
-            f"constraint violated: users <= antennas (got users={spec.users}, antennas={spec.antennas})"
-        )
-    if spec.block_len < 1:
-        raise ConfigurationError(f"block_len must be >= 1, got {spec.block_len}")
-    if spec.modulation not in SUPPORTED_ORDERS:
-        raise ConfigurationError(
-            f"modulation must be one of {SUPPORTED_ORDERS}, got {spec.modulation}"
-        )
-    if not spec.schemes:
-        raise ConfigurationError("schemes must name at least one scheme")
-    if not spec.snr_db:
-        raise ConfigurationError("snr_db grid is empty")
-    if spec.feedback_bits < 1:
-        raise ConfigurationError(f"feedback_bits must be >= 1, got {spec.feedback_bits}")
-    if spec.f_max <= 0:
-        raise ConfigurationError(f"f_max must be > 0, got {spec.f_max}")
-    if spec.total_power <= 0:
-        raise ConfigurationError(f"total_power must be > 0, got {spec.total_power}")
-    if spec.channels < 0:
-        raise ConfigurationError(f"channels must be >= 0, got {spec.channels}")
-    if spec.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {spec.seed}")
-    return spec
-
-
-def parse_config(path=None, overrides: dict | None = None) -> ExperimentSpec:
-    """Resolve an experiment spec from an optional key=value file plus overrides."""
+def parse_config(path=None, overrides: dict | None = None) -> LinkConfig:
+    """Resolve the config from an optional key=value file plus overrides (None = unset)."""
     values = _read_config_file(path) if path else {}
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _CONFIG_PARSERS:
-            raise ConfigurationError(f"unknown key {key!r}")
-        values[key] = value
-    known = {f.name for f in fields(ExperimentSpec)}
-    assert set(values) <= known
-    return _validate(ExperimentSpec(**values))
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    return LinkConfig(**values)
 
 
 def _fmt(value) -> str:
@@ -209,36 +143,18 @@ def _write_csv(path, columns, rows):
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def _link_config(spec: ExperimentSpec, scheme: Scheme) -> LinkConfig:
-    return LinkConfig(
-        users=spec.users,
-        antennas=spec.antennas,
-        block_len=spec.block_len,
-        modulation=spec.modulation,
-        scheme=scheme,
-        total_power=spec.total_power,
-        snr_grid_db=spec.snr_db,
-        feedback_bits=spec.feedback_bits,
-        f_max=spec.f_max,
-        n_channels=spec.channels,
-        seed=spec.seed,
-        quantization=spec.quantization,
-    )
-
-
-def _sweep_rows(spec: ExperimentSpec) -> list:
+def _sweep_rows(cfg: LinkConfig) -> list:
     rows = []
-    for scheme in spec.schemes:
-        cfg = _link_config(spec, scheme)
-        for record in run_monte_carlo(cfg):
+    for scheme in cfg.schemes:
+        for record in run_monte_carlo(cfg, scheme):
             rows.append({
-                "experiment": spec.experiment,
+                "experiment": cfg.experiment,
                 "scheme": scheme,
-                "modulation": spec.modulation,
-                "K": spec.users,
-                "N_T": spec.antennas,
-                "M": spec.block_len,
-                "B": spec.feedback_bits,
+                "modulation": cfg.modulation,
+                "K": cfg.users,
+                "N_T": cfg.antennas,
+                "M": cfg.block_len,
+                "B": cfg.feedback_bits,
                 "snr_db": record.snr_db,
                 "ber": record.ber,
                 "bler": record.bler,
@@ -247,47 +163,44 @@ def _sweep_rows(spec: ExperimentSpec) -> list:
                 "f_spread": record.f_spread,
                 "n_bits": record.n_bits,
                 "n_errors": record.n_errors,
-                "seed": spec.seed,
+                "seed": cfg.seed,
             })
     return rows
 
 
-def _trace_rows(spec: ExperimentSpec) -> list:
+def _trace_rows(cfg: LinkConfig) -> list:
     """Per-symbol ideal rescaling factors for one block per scheme."""
-    snr_db = spec.snr_db[0]
+    snr_db = cfg.snr_db[0]
     rows = []
-    for scheme in spec.schemes:
-        cfg = _link_config(spec, scheme)
-        rng = trial_rng(spec.seed, 0, 0)
-        channel = generate_channel(spec.users, spec.antennas, rng)
-        sigma2 = sigma2_from_snr(snr_db, spec.block_len, spec.total_power)
-        block = simulate_block(cfg, channel, sigma2, rng)
+    for scheme in cfg.schemes:
+        rng = trial_rng(cfg.seed, 0, 0)
+        channel = generate_channel(cfg.users, cfg.antennas, rng)
+        sigma2 = sigma2_from_snr(snr_db, cfg.block_len, cfg.total_power)
+        block = simulate_block(cfg, scheme, channel, sigma2, rng)
         for m, f_value in enumerate(block.f_ideal):
             rows.append({
-                "experiment": spec.experiment,
+                "experiment": cfg.experiment,
                 "scheme": scheme,
-                "modulation": spec.modulation,
-                "K": spec.users,
-                "N_T": spec.antennas,
-                "M": spec.block_len,
-                "B": spec.feedback_bits,
+                "modulation": cfg.modulation,
+                "K": cfg.users,
+                "N_T": cfg.antennas,
+                "M": cfg.block_len,
+                "B": cfg.feedback_bits,
                 "snr_db": snr_db,
                 "block": 0,
                 "symbol": m,
                 "f": float(f_value),
-                "seed": spec.seed,
+                "seed": cfg.seed,
             })
     return rows
 
 
-def run_experiment(spec: ExperimentSpec) -> int:
+def run_experiment(cfg: LinkConfig) -> int:
     """Run the configured experiment and write its CSV. Returns 0 on success."""
-    if spec.experiment is Experiment.F_TRACE:
-        rows = _trace_rows(spec)
-        _write_csv(spec.out, TRACE_COLUMNS, rows)
+    if cfg.experiment is Experiment.F_TRACE:
+        _write_csv(cfg.out, TRACE_COLUMNS, _trace_rows(cfg))
     else:
-        rows = _sweep_rows(spec)
-        _write_csv(spec.out, SWEEP_COLUMNS, rows)
+        _write_csv(cfg.out, SWEEP_COLUMNS, _sweep_rows(cfg))
     return 0
 
 
@@ -302,21 +215,15 @@ class SuiteResult:
     detail: str
 
 
-def check_power_allocation(
-    rng, n_samples: int = 200, sizes=(2, 10, 50), power_scale: float = 1.0
-) -> SuiteResult:
-    """Closed form vs bisection oracle plus KKT certificates on random margins.
-
-    ``power_scale`` rescales the candidate powers before checking; values
-    other than 1.0 inject a budget fault (test hook).
-    """
+def check_power_allocation(rng, n_samples: int = 200, sizes=(2, 10, 50)) -> SuiteResult:
+    """Closed form vs bisection oracle plus KKT certificates on random margins."""
     worst_rel = 0.0
     worst_kkt = 0.0
     total_power = 1.0
     for i in range(n_samples):
         size = sizes[i % len(sizes)]
         margins = 10.0 ** rng.uniform(-1.5, 1.5, size)
-        powers = power_alloc.allocate_in_block(margins, total_power).powers * power_scale
+        powers = power_alloc.allocate_in_block(margins, total_power).powers
         oracle = power_alloc.solve_maxmin_power(margins, total_power)
         worst_rel = max(worst_rel, float(np.max(np.abs(powers - oracle) / oracle)))
         cert = power_alloc.verify_kkt(margins, powers, total_power)
@@ -376,8 +283,11 @@ def check_constellations() -> SuiteResult:
                     if bin(label ^ other).count("1") != 1:
                         gray_ok = False
     spec16 = build_constellation(16)
-    types = [classify_component(spec16, complex(p)).point_type for p in spec16.points]
-    partition_ok = all(types.count(t) == 4 for t in "ABCD")
+    classes = Counter(
+        (c.real_class, c.imag_class)
+        for c in (classify_component(spec16, complex(p)) for p in spec16.points)
+    )
+    partition_ok = len(classes) == 4 and set(classes.values()) == {4}
     passed = worst_energy <= 1e-12 and gray_ok and partition_ok
     return SuiteResult(
         name="constellation",
@@ -403,11 +313,11 @@ def check_quantization(rng, n_samples: int = 100_000, feedback_bits: int = 5,
     )
 
 
-def run_verification(spec: ExperimentSpec | None = None, seed: int = 0) -> list:
-    """Run all verification suites; library invariants when no spec is given."""
+def run_verification(cfg: LinkConfig | None = None, seed: int = 0) -> list:
+    """Run all verification suites; library invariants when no config is given."""
     users, antennas, modulation = 4, 4, 16
-    if spec is not None:
-        users, antennas, modulation = spec.users, spec.antennas, spec.modulation
+    if cfg is not None:
+        users, antennas, modulation = cfg.users, cfg.antennas, cfg.modulation
     results = [
         check_constellations(),
         check_power_allocation(np.random.default_rng(seed)),
@@ -444,7 +354,7 @@ def _add_run_flags(parser):
 
 
 def _overrides_from_args(args) -> dict:
-    overrides = {
+    return {
         "users": args.users,
         "antennas": args.antennas,
         "block_len": args.block_len,
@@ -453,16 +363,11 @@ def _overrides_from_args(args) -> dict:
         "feedback_bits": args.feedback_bits,
         "seed": args.seed,
         "out": args.out,
+        "experiment": args.experiment,
+        "schemes": None if args.schemes is None else _parse_schemes(args.schemes),
+        "snr_db": None if args.snr_db is None else parse_snr_values(args.snr_db),
+        "quantization": False if args.no_quantization else None,
     }
-    if args.schemes is not None:
-        overrides["schemes"] = _parse_schemes(args.schemes)
-    if args.snr_db is not None:
-        overrides["snr_db"] = parse_snr_values(args.snr_db)
-    if args.experiment is not None:
-        overrides["experiment"] = Experiment(args.experiment)
-    if args.no_quantization:
-        overrides["quantization"] = False
-    return overrides
 
 
 def main(argv=None) -> int:
@@ -481,25 +386,20 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         try:
-            spec = parse_config(args.config) if args.config else None
+            cfg = parse_config(args.config) if args.config else None
         except (ConfigurationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        results = run_verification(spec, seed=args.seed)
+        results = run_verification(cfg, seed=args.seed)
         for result in results:
             status = "PASS" if result.passed else "FAIL"
             print(f"{status} {result.name}: {result.detail}")
         return 0 if all(r.passed for r in results) else 3
 
     try:
-        spec = parse_config(args.config, _overrides_from_args(args))
-    except (ConfigurationError, OSError) as exc:
+        return run_experiment(parse_config(args.config, _overrides_from_args(args)))
+    except (ConfigurationError, OSError) as exc:  # bad config, worker count or path
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run_experiment(spec)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver/runtime failures
         print(f"runtime failure: {exc}", file=sys.stderr)

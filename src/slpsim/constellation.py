@@ -37,28 +37,6 @@ class ComponentClass:
     real_class: AxisClass
     imag_class: AxisClass
 
-    @property
-    def point_type(self) -> str:
-        """Shape label: A = both inner, B = real outer, C = imag outer, D = corner."""
-        key = (self.real_class, self.imag_class)
-        return {
-            (AxisClass.INNER, AxisClass.INNER): "A",
-            (AxisClass.OUTER, AxisClass.INNER): "B",
-            (AxisClass.INNER, AxisClass.OUTER): "C",
-            (AxisClass.OUTER, AxisClass.OUTER): "D",
-        }[key]
-
-
-@dataclass(frozen=True)
-class SymbolDecomposition:
-    """Split of a symbol into its real-axis and imaginary-axis parts."""
-
-    real_component: complex  # Re{s}, as a complex number with zero imag part
-    imag_component: complex  # j * Im{s}
-
-    def recompose(self) -> complex:
-        return self.real_component + self.imag_component
-
 
 @dataclass(frozen=True)
 class ConstellationSpec:
@@ -138,14 +116,6 @@ def axis_outer_flags(spec: ConstellationSpec, symbols: np.ndarray):
     symbols = np.asarray(symbols)
     thresh = spec.max_level - _POINT_ATOL
     return np.abs(symbols.real) >= thresh, np.abs(symbols.imag) >= thresh
-
-
-def decompose(point: complex) -> SymbolDecomposition:
-    """Split a symbol into real and imaginary axis components (exact)."""
-    return SymbolDecomposition(
-        real_component=complex(point.real, 0.0),
-        imag_component=complex(0.0, point.imag),
-    )
 
 
 def modulate(spec: ConstellationSpec, bits) -> np.ndarray:

@@ -14,6 +14,7 @@ regardless of execution order or worker count.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .errors import ConfigurationError, DegenerateMarginError, SolverFailure
 log = logging.getLogger(__name__)
 
 WORKERS_ENV = "SLPSIM_WORKERS"
+MAX_WORKERS = 64
 
 # Floor applied to a quantized rescaling factor: the additive Gaussian error
 # model permits nonpositive values, which are physically meaningless.
@@ -54,43 +56,74 @@ class Scheme(str, Enum):
 BLOCK_LEVEL_SCHEMES = frozenset({Scheme.SLP_IN_BLOCK, Scheme.ZF, Scheme.RZF})
 
 
+class Experiment(str, Enum):
+    BER_SWEEP = "BER_SWEEP"
+    THROUGHPUT_SWEEP = "THROUGHPUT_SWEEP"
+    F_TRACE = "F_TRACE"
+
+
 @dataclass(frozen=True)
 class LinkConfig:
+    """One experiment: system, sweep and output. The fields are the config-file keys."""
+
     users: int = 4
     antennas: int = 4
     block_len: int = 50
     modulation: int = 16
-    scheme: Scheme = Scheme.SLP_IN_BLOCK
+    schemes: tuple = tuple(Scheme)
     total_power: float = 1.0
-    snr_grid_db: tuple = (0.0, 10.0, 20.0, 30.0, 40.0)
+    snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     feedback_bits: int = 5
     f_max: float = 1.0
-    n_channels: int = 100
+    channels: int = 100
     seed: int = 1
     quantization: bool = True
+    experiment: Experiment = Experiment.BER_SWEEP
+    out: str = "results.csv"
 
     def __post_init__(self):
-        if self.users < 1 or self.users > self.antennas:
+        if self.users < 1:
+            raise ConfigurationError(f"users must be >= 1, got {self.users}")
+        if self.users > self.antennas:
             raise ConfigurationError(
-                f"need 1 <= users <= antennas, got users={self.users}, antennas={self.antennas}"
+                "constraint violated: users <= antennas "
+                f"(got users={self.users}, antennas={self.antennas})"
             )
         if self.block_len < 1:
             raise ConfigurationError(f"block_len must be >= 1, got {self.block_len}")
         if self.modulation not in SUPPORTED_ORDERS:
-            raise ConfigurationError(f"unsupported modulation order {self.modulation}")
+            raise ConfigurationError(
+                f"modulation must be one of {SUPPORTED_ORDERS}, got {self.modulation}"
+            )
+        if not self.schemes:
+            raise ConfigurationError("schemes must name at least one scheme")
+        try:
+            object.__setattr__(self, "schemes", tuple(Scheme(s) for s in self.schemes))
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"unknown scheme in {self.schemes!r}; valid: {[s.value for s in Scheme]}"
+            ) from exc
+        if not self.snr_db:
+            raise ConfigurationError("snr_db grid is empty")
+        # inf (zero noise) is allowed; nan and -inf have no noise variance
+        if not all(v > -math.inf for v in self.snr_db):
+            raise ConfigurationError(f"snr_db values must be finite or inf, got {self.snr_db}")
         if self.feedback_bits < 1:
             raise ConfigurationError(f"feedback_bits must be >= 1, got {self.feedback_bits}")
         if self.f_max <= 0:
             raise ConfigurationError(f"f_max must be > 0, got {self.f_max}")
         if self.total_power <= 0:
             raise ConfigurationError(f"total_power must be > 0, got {self.total_power}")
-        if self.n_channels < 0:
-            raise ConfigurationError(f"n_channels must be >= 0, got {self.n_channels}")
-        if not isinstance(self.scheme, Scheme):
-            try:
-                object.__setattr__(self, "scheme", Scheme(self.scheme))
-            except ValueError as exc:
-                raise ConfigurationError(f"unknown scheme {self.scheme!r}") from exc
+        if self.channels < 0:
+            raise ConfigurationError(f"channels must be >= 0, got {self.channels}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        try:
+            object.__setattr__(self, "experiment", Experiment(self.experiment))
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"unknown experiment {self.experiment!r}; valid: {[e.value for e in Experiment]}"
+            ) from exc
 
 
 @dataclass
@@ -187,12 +220,14 @@ def _slp_transmit(cfg: LinkConfig, channel, symbols, spec, opts):
 
 def simulate_block(
     cfg: LinkConfig,
+    scheme: Scheme,
     channel: ChannelRealization,
     sigma2: float,
     rng: np.random.Generator,
     spec: ConstellationSpec | None = None,
 ) -> BlockResult:
-    """Transmit one block through ``channel`` and count receiver bit errors."""
+    """Transmit one block of ``scheme`` through ``channel`` and count receiver bit errors."""
+    scheme = Scheme(scheme)
     spec = spec or build_constellation(cfg.modulation)
     K, M = cfg.users, cfg.block_len
     bps = spec.bits_per_symbol
@@ -202,9 +237,9 @@ def simulate_block(
     noise = sample_noise(NoiseModel(sigma2), K * M, rng).reshape(K, M)
 
     margins = None
-    if cfg.scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
+    if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
         X, margins = _slp_transmit(cfg, channel, symbols, spec, slp_core.SolverOptions())
-        if cfg.scheme is Scheme.SLP_IN_BLOCK:
+        if scheme is Scheme.SLP_IN_BLOCK:
             alloc = power_alloc.allocate_in_block(margins, cfg.total_power)
             powers = alloc.powers
             # per-symbol factors agree with the block value; keeping them
@@ -231,7 +266,7 @@ def simulate_block(
                 f_used = f_ideal
         precoded = X
     else:
-        if cfg.scheme is Scheme.ZF:
+        if scheme is Scheme.ZF:
             prec = baselines.zf_precoder(channel)
         else:
             prec = baselines.rzf_precoder(channel, sigma2, M, cfg.total_power)
@@ -263,22 +298,28 @@ def simulate_block(
     )
 
 
-def _run_trial(cfg: LinkConfig, spec: ConstellationSpec, snr_index: int, sigma2: float, trial_index: int):
+def _run_trial(cfg: LinkConfig, scheme: Scheme, spec: ConstellationSpec, snr_index: int,
+               sigma2: float, trial_index: int):
     rng = trial_rng(cfg.seed, snr_index, trial_index)
     try:
         channel = generate_channel(cfg.users, cfg.antennas, rng)
-        return simulate_block(cfg, channel, sigma2, rng, spec)
+        return simulate_block(cfg, scheme, channel, sigma2, rng, spec)
     except (np.linalg.LinAlgError, DegenerateMarginError, SolverFailure) as exc:
         return TrialFailure(trial_index=trial_index, reason=f"{type(exc).__name__}: {exc}")
 
 
-def _aggregate(cfg: LinkConfig, snr_db: float, results: list) -> MetricsRecord:
+def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) -> MetricsRecord:
     blocks = [r for r in results if isinstance(r, BlockResult)]
     failures = [r for r in results if isinstance(r, TrialFailure)]
     for fail in failures:
         log.warning(
             "trial discarded (scheme=%s, snr=%.1f dB, seed=%d, trial=%d): %s",
-            cfg.scheme.value, snr_db, cfg.seed, fail.trial_index, fail.reason,
+            scheme.value, snr_db, cfg.seed, fail.trial_index, fail.reason,
+        )
+    if failures and not blocks:
+        raise SolverFailure(
+            f"every trial failed (scheme={scheme.value}, snr={snr_db:.1f} dB); "
+            f"first: {failures[0].reason}"
         )
 
     n_bits = sum(b.n_bits for b in blocks)
@@ -291,7 +332,7 @@ def _aggregate(cfg: LinkConfig, snr_db: float, results: list) -> MetricsRecord:
     bps = int(np.log2(cfg.modulation))
     bler = 1.0 - (1.0 - ber) ** (cfg.block_len * bps)
     t_eff = effective_throughput(
-        ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, cfg.scheme
+        ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, scheme
     )
     mean_f = (
         sum(float(b.f_ideal.sum()) for b in blocks) / (len(blocks) * cfg.block_len)
@@ -315,33 +356,42 @@ def _aggregate(cfg: LinkConfig, snr_db: float, results: list) -> MetricsRecord:
 
 
 def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    if workers is None:
+        text = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigurationError(f"worker count ({WORKERS_ENV}) must be in 1..{MAX_WORKERS}, got {workers}")
+    return workers
 
 
-def run_monte_carlo(cfg: LinkConfig, workers: int | None = None, return_trials: bool = False):
-    """Run the configured sweep; one record per SNR point.
+def run_monte_carlo(cfg: LinkConfig, scheme: Scheme, workers: int | None = None,
+                    return_trials: bool = False):
+    """Run the configured sweep for one scheme; one record per SNR point.
 
     ``workers`` (default: the SLPSIM_WORKERS env var, else serial) bounds the
     process pool; results are reduced in trial order, so the output does not
     depend on scheduling. With ``return_trials`` the per-trial block results
-    are returned alongside the records.
+    are returned alongside the records. Raises SolverFailure when every
+    trial of an SNR point fails.
     """
+    scheme = Scheme(scheme)
     spec = build_constellation(cfg.modulation)
     n_workers = _worker_count(workers)
     records = []
     per_snr_trials = []
-    for i, snr_db in enumerate(cfg.snr_grid_db):
+    for i, snr_db in enumerate(cfg.snr_db):
         sigma2 = sigma2_from_snr(snr_db, cfg.block_len, cfg.total_power)
-        task = partial(_run_trial, cfg, spec, i, sigma2)
-        if n_workers > 1 and cfg.n_channels > 1:
-            chunk = max(1, cfg.n_channels // (4 * n_workers))
+        task = partial(_run_trial, cfg, scheme, spec, i, sigma2)
+        if n_workers > 1 and cfg.channels > 1:
+            chunk = max(1, cfg.channels // (4 * n_workers))
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(task, range(cfg.n_channels), chunksize=chunk))
+                results = list(pool.map(task, range(cfg.channels), chunksize=chunk))
         else:
-            results = [task(j) for j in range(cfg.n_channels)]
-        records.append(_aggregate(cfg, snr_db, results))
+            results = [task(j) for j in range(cfg.channels)]
+        records.append(_aggregate(cfg, scheme, snr_db, results))
         if return_trials:
             per_snr_trials.append(results)
     if return_trials:

@@ -66,7 +66,7 @@ def _sweep(schemes, workers=None, **cfg):
     out = {}
     for scheme in schemes:
         records, trials = run_monte_carlo(
-            LinkConfig(scheme=scheme, **cfg), workers=workers, return_trials=True
+            LinkConfig(**cfg), scheme, workers=workers, return_trials=True
         )
         out[scheme] = {
             "records": records,
@@ -81,8 +81,8 @@ def desk_sweep():
     """500-channel paired sweep of all four schemes over DESK_SNR_DB."""
     return _sweep(
         Scheme, users=4, antennas=4, block_len=50, modulation=16,
-        snr_grid_db=DESK_SNR_DB, feedback_bits=5, f_max=1.0,
-        n_channels=500, seed=DESK_SEED, quantization=True,
+        snr_db=DESK_SNR_DB, feedback_bits=5, f_max=1.0,
+        channels=500, seed=DESK_SEED, quantization=True,
     )
 
 
@@ -97,8 +97,8 @@ def paper_sweep():
     return _sweep(
         (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.RZF), workers=2,
         users=12, antennas=12, block_len=200, modulation=16,
-        snr_grid_db=PAPER_SNR_DB, feedback_bits=5, f_max=1.0,
-        n_channels=PAPER_CHANNELS, seed=PAPER_SEED, quantization=True,
+        snr_db=PAPER_SNR_DB, feedback_bits=5, f_max=1.0,
+        channels=PAPER_CHANNELS, seed=PAPER_SEED, quantization=True,
     )
 
 
@@ -126,14 +126,14 @@ def test_c1_block_constant_rescaling():
         for scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
             cfg = LinkConfig(
                 users=4, antennas=4, block_len=10, modulation=modulation,
-                scheme=scheme, snr_grid_db=(40.0,), n_channels=n_channels,
+                snr_db=(40.0,), channels=n_channels,
                 seed=51, quantization=False,
             )
             sigma2 = sigma2_from_snr(40.0, cfg.block_len)
             for trial in range(n_channels):
                 rng = trial_rng(cfg.seed, 0, trial)
                 channel = generate_channel(4, 4, rng)
-                block = simulate_block(cfg, channel, sigma2, rng)
+                block = simulate_block(cfg, scheme, channel, sigma2, rng)
                 if scheme is Scheme.SLP_IN_BLOCK:
                     worst_in_block = max(worst_in_block, block.f_spread)
                 elif block.f_spread > 1e-3:
@@ -228,10 +228,10 @@ def test_c4_noiseless_zero_ber():
     totals = {}
     for scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.ZF):
         cfg = LinkConfig(
-            users=4, antennas=4, block_len=20, modulation=16, scheme=scheme,
-            snr_grid_db=(float("inf"),), n_channels=50, seed=77, quantization=False,
+            users=4, antennas=4, block_len=20, modulation=16,
+            snr_db=(float("inf"),), channels=50, seed=77, quantization=False,
         )
-        record = run_monte_carlo(cfg)[0]
+        record = run_monte_carlo(cfg, scheme)[0]
         totals[scheme.value] = record.n_errors
         assert record.n_trials == 50
     ok = all(v == 0 for v in totals.values())

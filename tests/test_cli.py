@@ -1,10 +1,12 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from slpsim import baselines, power_alloc
 from slpsim.cli import (
-    Experiment,
+    _CONFIG_PARSERS,
     SWEEP_COLUMNS,
     TRACE_COLUMNS,
     check_power_allocation,
@@ -14,7 +16,7 @@ from slpsim.cli import (
     run_verification,
 )
 from slpsim.errors import ConfigurationError
-from slpsim.link_sim import Scheme
+from slpsim.link_sim import LinkConfig, Scheme
 
 
 def test_parse_snr_range():
@@ -26,6 +28,15 @@ def test_parse_snr_range():
         parse_snr_values("0:-5:40")
     with pytest.raises(ConfigurationError):
         parse_snr_values("abc")
+    assert parse_snr_values("10,inf") == (10.0, float("inf"))
+    # range bounds must be finite and a range at most MAX_SNR_POINTS long
+    for text in ("0:5:inf", "-inf:5:40", "nan:5:40", "0:nan:40", "0:1e-6:40", "1e20:1:1e21"):
+        with pytest.raises(ConfigurationError):
+            parse_snr_values(text)
+    # nan and -inf parse as numbers but have no noise variance
+    for text in ("nan", "-inf", "10,nan"):
+        with pytest.raises(ConfigurationError):
+            LinkConfig(snr_db=parse_snr_values(text))
 
 
 def test_parse_config_defaults(tmp_path):
@@ -38,6 +49,10 @@ def test_parse_config_defaults(tmp_path):
     assert spec.total_power == 1.0
     assert spec.modulation == 16
     assert len(spec.schemes) == 4
+
+
+def test_config_keys_are_the_config_fields():
+    assert list(_CONFIG_PARSERS) == [f.name for f in fields(LinkConfig)]
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -69,6 +84,29 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     rc = main(["run", "--users", "5", "--antennas", "4", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "users <= antennas" in capsys.readouterr().err
+    for snr in ("nan", "-inf", "0:5:inf"):
+        rc = main(["run", "--users", "2", "--antennas", "2", f"--snr-db={snr}",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "snr_db" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
+    def singular(channel):
+        raise np.linalg.LinAlgError("injected singular channel")
+
+    monkeypatch.setattr(baselines, "zf_precoder", singular)
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2",
+            "--snr-db", "10", "--out", str(tmp_path / "x.csv")]
+    assert main(args + ["--channels", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "scheme=ZF" in err and "snr=10.0 dB" in err and "injected singular channel" in err
+    # no trial attempted is not a failure: the row reports zero bits
+    assert main(args + ["--channels", "0"]) == 0
+    with open(tmp_path / "x.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["n_bits"] == "0" and row["ber"] == "0.0"
 
 
 def test_cli_ber_sweep_smoke(tmp_path):
@@ -123,9 +161,15 @@ def test_verification_suites_pass():
     assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
 
 
-def test_verification_detects_budget_fault():
-    rng = np.random.default_rng(0)
-    result = check_power_allocation(rng, n_samples=30, power_scale=1.01)
+def test_verification_detects_budget_fault(monkeypatch):
+    original = power_alloc.allocate_in_block
+
+    def over_budget(margins, total_power):
+        alloc = original(margins, total_power)
+        return power_alloc.PowerAllocation(alloc.powers * 1.01, alloc.mode, alloc.rescale)
+
+    monkeypatch.setattr(power_alloc, "allocate_in_block", over_budget)
+    result = check_power_allocation(np.random.default_rng(0), n_samples=30)
     assert not result.passed
 
 
@@ -146,7 +190,7 @@ def test_cli_verify_failure_exit_code(monkeypatch):
 def test_cli_runtime_failure_exit_code(monkeypatch):
     import slpsim.cli as cli
 
-    def boom(spec):
+    def boom(cfg):
         raise RuntimeError("injected solver failure")
 
     monkeypatch.setattr(cli, "run_experiment", boom)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from slpsim.constellation import (
     SUPPORTED_ORDERS,
     build_constellation,
     classify_component,
-    decompose,
     demodulate,
     modulate,
 )
@@ -36,7 +37,8 @@ def test_qpsk_all_corner_points():
     spec = build_constellation(4)
     np.testing.assert_allclose(spec.levels, np.array([-1, 1]) / np.sqrt(2))
     for p in spec.points:
-        assert classify_component(spec, complex(p)).point_type == "D"
+        c = classify_component(spec, complex(p))
+        assert (c.real_class, c.imag_class) == (AxisClass.OUTER, AxisClass.OUTER)
 
 
 def test_unsupported_order_rejected():
@@ -71,41 +73,25 @@ def test_classify_16qam_types():
     spec = build_constellation(16)
     c = classify_component(spec, (1 + 1j) / np.sqrt(10))
     assert (c.real_class, c.imag_class) == (AxisClass.INNER, AxisClass.INNER)
-    assert c.point_type == "A"
     c = classify_component(spec, (3 + 1j) / np.sqrt(10))
     assert (c.real_class, c.imag_class) == (AxisClass.OUTER, AxisClass.INNER)
-    assert c.point_type == "B"
     c = classify_component(spec, (1 + 3j) / np.sqrt(10))
-    assert c.point_type == "C"
+    assert (c.real_class, c.imag_class) == (AxisClass.INNER, AxisClass.OUTER)
     c = classify_component(spec, (3 + 3j) / np.sqrt(10))
     assert (c.real_class, c.imag_class) == (AxisClass.OUTER, AxisClass.OUTER)
-    assert c.point_type == "D"
 
 
 def test_classify_partition_16qam():
     spec = build_constellation(16)
-    types = [classify_component(spec, complex(p)).point_type for p in spec.points]
-    assert all(types.count(t) == 4 for t in "ABCD")
+    classes = [classify_component(spec, complex(p)) for p in spec.points]
+    types = Counter((c.real_class, c.imag_class) for c in classes)
+    assert len(types) == 4 and set(types.values()) == {4}
 
 
 def test_classify_rejects_foreign_point():
     spec = build_constellation(16)
     with pytest.raises(ValueError):
         classify_component(spec, 0.5 + 0.5j)
-
-
-def test_decompose_examples():
-    d = decompose((3 + 1j) / np.sqrt(10))
-    assert d.real_component == complex(3 / np.sqrt(10), 0)
-    assert d.imag_component == complex(0, 1 / np.sqrt(10))
-    assert decompose(1 + 0j).recompose() == 1 + 0j
-    assert decompose(0 - 2j).recompose() == 0 - 2j
-
-
-@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
-def test_decompose_exact(z):
-    d = decompose(z)
-    assert d.recompose() == z
 
 
 def test_modulate_label_zero():
