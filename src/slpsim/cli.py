@@ -169,29 +169,34 @@ def _sweep_rows(cfg: LinkConfig) -> list:
 
 
 def _trace_rows(cfg: LinkConfig) -> list:
-    """Per-symbol ideal rescaling factors for one block per scheme."""
-    snr_db = cfg.snr_db[0]
+    """Per-symbol ideal rescaling factors, one block per scheme, SNR point and channel.
+
+    Each block draws from the sweep's substream (seed, SNR index, trial), and
+    its trial index is the ``block`` column.
+    """
     rows = []
     for scheme in cfg.schemes:
-        rng = trial_rng(cfg.seed, 0, 0)
-        channel = generate_channel(cfg.users, cfg.antennas, rng)
-        sigma2 = sigma2_from_snr(snr_db, cfg.block_len, cfg.total_power)
-        block = simulate_block(cfg, scheme, channel, sigma2, rng)
-        for m, f_value in enumerate(block.f_ideal):
-            rows.append({
-                "experiment": cfg.experiment,
-                "scheme": scheme,
-                "modulation": cfg.modulation,
-                "K": cfg.users,
-                "N_T": cfg.antennas,
-                "M": cfg.block_len,
-                "B": cfg.feedback_bits,
-                "snr_db": snr_db,
-                "block": 0,
-                "symbol": m,
-                "f": float(f_value),
-                "seed": cfg.seed,
-            })
+        for snr_index, snr_db in enumerate(cfg.snr_db):
+            sigma2 = sigma2_from_snr(snr_db, cfg.block_len, cfg.total_power)
+            for trial in range(cfg.channels):
+                rng = trial_rng(cfg.seed, snr_index, trial)
+                channel = generate_channel(cfg.users, cfg.antennas, rng)
+                block = simulate_block(cfg, scheme, channel, sigma2, rng)
+                for m, f_value in enumerate(block.f_ideal):
+                    rows.append({
+                        "experiment": cfg.experiment,
+                        "scheme": scheme,
+                        "modulation": cfg.modulation,
+                        "K": cfg.users,
+                        "N_T": cfg.antennas,
+                        "M": cfg.block_len,
+                        "B": cfg.feedback_bits,
+                        "snr_db": snr_db,
+                        "block": trial,
+                        "symbol": m,
+                        "f": float(f_value),
+                        "seed": cfg.seed,
+                    })
     return rows
 
 
@@ -243,25 +248,32 @@ def check_power_allocation(rng, n_samples: int = 200, sizes=(2, 10, 50)) -> Suit
 
 def check_slp_solutions(rng, n_samples: int = 40, users: int = 4, antennas: int = 4,
                         modulation: int = 16) -> SuiteResult:
-    """Solve random instances and verify the returned solutions' constraints."""
+    """Solve random instances; check their status, constraints and duality gaps."""
     spec = build_constellation(modulation)
     worst = 0.0
+    worst_gap = 0.0
     min_margin = np.inf
+    non_optimal = 0
     for _ in range(n_samples):
         channel = generate_channel(users, antennas, rng)
         labels = rng.integers(0, modulation, users)
         symbols = spec.points[labels]
         inst = slp_core.build_instance(channel, symbols, spec)
         sol = slp_core.solve_ci_max(inst)
+        non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
         report = slp_core.verify_solution(inst, sol, tol=1e-6)
         worst = max(worst, report.coupling, report.inner, report.outer,
                     report.ball, report.norm_dev)
+        worst_gap = max(worst_gap, sol.residuals.get("duality_gap", np.inf))
         min_margin = min(min_margin, sol.margin)
-    passed = worst <= 1e-6 and min_margin > 0
+    passed = non_optimal == 0 and worst <= 1e-6 and min_margin > 0
     return SuiteResult(
         name="slp-solver",
         passed=passed,
-        detail=f"worst residual {worst:.2e}, smallest margin {min_margin:.3f}",
+        detail=(
+            f"{non_optimal} non-optimal solves, worst residual {worst:.2e}, "
+            f"worst duality gap {worst_gap:.2e}, smallest margin {min_margin:.3f}"
+        ),
     )
 
 
@@ -402,7 +414,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver/runtime failures
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

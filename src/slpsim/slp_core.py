@@ -14,17 +14,21 @@ into the region). The precoder maximizes t subject to those constraints and
 
 Solution method: each scale factor is a fixed linear functional of the
 stacked real vector w = [Re x; Im x]. For t > 0 the substitution w -> w / t
-turns the problem into the strictly convex least-norm program
+turns the problem into the strictly convex least-distance program
 
     minimize ||w||  s.t.  G_inner w = 1,  G_outer w >= 1,
 
-whose solution gives t* = 1 / ||w*|| and x* = w* / ||w*||. The equality part
-is eliminated exactly via an SVD (least-norm particular solution plus null
-space basis) and the remaining inequality-constrained least-distance problem
-is solved by the classic reduction to nonnegative least squares, which is an
-exact active-set method. A weak-duality gap certificate is recovered from
-fitted multipliers: for any multipliers nu >= 0 on the outer rows with total
-mass normalized to one, ||G^T nu|| upper-bounds the optimal margin.
+whose solution gives t* = 1 / ||w*|| and x* = w* / ||w*||. Each equality is
+written as two opposite inequalities, and the whole program is solved by
+Lawson and Hanson's reduction of least-distance programming to a single
+nonnegative least squares problem (Solving Least Squares Problems, 1974,
+ch. 23). That is an exact active-set method and needs no rank assumption on
+G: rank-deficient channels, K < N_T, all-inner and all-outer symbol vectors
+take the same path, and an empty constraint set shows up as a zero NNLS
+residual. The NNLS solution also gives the Lagrange multipliers nu (free on
+the inner rows, nonnegative on the outer ones). By weak duality,
+||G^T nu|| / sum(nu) bounds every achievable margin from above, so its excess
+over t* is a certified duality gap at no extra cost.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ class SolverOptions:
 
     tol: float = 1e-8
     feas_tol: float = 1e-7
-    certify: bool = True
 
 
 @dataclass(frozen=True)
@@ -147,40 +150,6 @@ def _row_ids(index_set) -> np.ndarray:
     return np.array([2 * k + (0 if axis == _RE else 1) for k, axis in index_set], dtype=int)
 
 
-def _least_norm_with_nullspace(A: np.ndarray, b: np.ndarray):
-    """Least-norm solution of A w = b plus an orthonormal null-space basis.
-
-    Returns (w0, basis, consistent); ``consistent`` is False when the system
-    has no solution (rank-deficient A with incompatible right-hand side).
-    """
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    if s.size:
-        rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
-    else:
-        rank = 0
-    coords = (U[:, :rank].T @ b) / s[:rank]
-    w0 = Vt[:rank].T @ coords
-    basis = Vt[rank:].T
-    consistent = np.linalg.norm(A @ w0 - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
-    return w0, basis, consistent
-
-
-def _least_distance(G: np.ndarray, h: np.ndarray):
-    """min ||v|| s.t. G v >= h via the nonnegative-least-squares reduction.
-
-    Returns None when the constraint set is empty.
-    """
-    n = G.shape[1]
-    E = np.vstack([G.T, h[None, :]])
-    f = np.zeros(n + 1)
-    f[-1] = 1.0
-    u, _ = nnls(E, f, maxiter=10 * max(E.shape))
-    r = E @ u - f
-    if abs(r[-1]) < 1e-12:
-        return None
-    return -r[:-1] / r[-1]
-
-
 def _zero_solution(instance: CiInstance, status: SolverStatus, residuals) -> SlpSolution:
     n_users = instance.channel.n_users
     return SlpSolution(
@@ -191,36 +160,6 @@ def _zero_solution(instance: CiInstance, status: SolverStatus, residuals) -> Slp
         status=status,
         residuals=residuals,
     )
-
-
-def _certificate(rows, inner_ids, outer_ids, w, margin):
-    """Weak-duality gap from multipliers fitted to w = A^T lam + C^T mu, mu >= 0."""
-    A = rows[inner_ids]
-    C = rows[outer_ids]
-    d = rows.shape[1]
-    lam = np.zeros(0)
-    mu = np.zeros(0)
-    if outer_ids.size:
-        if inner_ids.size:
-            # project the outer columns onto the orthogonal complement of span(A^T)
-            P = np.eye(d) - np.linalg.pinv(A) @ A
-        else:
-            P = np.eye(d)
-        mu, _ = nnls(P @ C.T, P @ w, maxiter=10 * max(d, outer_ids.size))
-        rhs = w - C.T @ mu
-    else:
-        rhs = w
-    if inner_ids.size:
-        lam = np.linalg.lstsq(A.T, rhs, rcond=None)[0]
-        fit = A.T @ lam + (C.T @ mu if outer_ids.size else 0.0)
-    else:
-        fit = C.T @ mu
-    stationarity = float(np.linalg.norm(w - fit))
-    mass = float(lam.sum() + mu.sum())
-    if mass <= 0:
-        return float("inf"), stationarity
-    dual_value = float(np.linalg.norm(fit) / mass)
-    return max(dual_value - margin, 0.0), stationarity
 
 
 def compute_alphas(channel, x: np.ndarray, symbols):
@@ -253,62 +192,53 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0):
         return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
-    scaled = rows / norms[:, None]
-    rhs = 1.0 / norms
+    # Least-distance form G w >= h: every row, then each inner row negated.
+    n_rows = rows.shape[0]
+    ids = np.concatenate([np.arange(n_rows), inner_ids])
+    sign = np.concatenate([np.ones(n_rows), -np.ones(inner_ids.size)])
+    G = sign[:, None] * rows[ids] / norms[ids, None]
+    h = sign / norms[ids]
 
-    d = rows.shape[1]
-    if inner_ids.size:
-        w0, basis, consistent = _least_norm_with_nullspace(scaled[inner_ids], rhs[inner_ids])
-        if not consistent:
-            return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
-    else:
-        w0, basis = np.zeros(d), np.eye(d)
-
-    if outer_ids.size:
-        slack = rhs[outer_ids] - scaled[outer_ids] @ w0
-        if basis.shape[1] == 0:
-            if np.max(slack) > 1e-9:
-                return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
-            w = w0
-        else:
-            try:
-                v = _least_distance(scaled[outer_ids] @ basis, slack)
-            except RuntimeError as exc:  # nnls iteration cap
-                return _zero_solution(
-                    instance, SolverStatus.MAX_ITER, {"nnls_error": str(exc)}
-                )
-            if v is None:
-                return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
-            w = w0 + basis @ v
-    else:
-        w = w0
-
-    w_norm = float(np.linalg.norm(w))
-    if w_norm <= 0:
+    # Lawson-Hanson: NNLS on E = [G^T; h^T] against the last unit vector.
+    E = np.vstack([G.T, h])
+    target = np.zeros(E.shape[0])
+    target[-1] = 1.0
+    try:
+        u, _ = nnls(E, target, maxiter=10 * max(E.shape))
+    except RuntimeError as exc:  # nnls iteration cap
+        return _zero_solution(instance, SolverStatus.MAX_ITER, {"nnls_error": str(exc)})
+    r = E @ u - target
+    if abs(r[-1]) < 1e-12:  # G^T u = 0 with h^T u = 1: no w meets G w >= h
         return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
+    w = -r[:-1] / r[-1]
 
-    margin = 1.0 / w_norm
-    stacked = w / w_norm
+    margin = 1.0 / float(np.linalg.norm(w))
+    stacked = w * margin
     n_tx = H.shape[1]
     x = stacked[:n_tx] + 1j * stacked[n_tx:]
     alpha_re, alpha_im = compute_alphas(instance.channel, x, instance.symbols)
 
-    alphas = np.empty(rows.shape[0])
+    alphas = np.empty(n_rows)
     alphas[0::2] = alpha_re
     alphas[1::2] = alpha_im
     inner_res = float(np.max(np.abs(alphas[inner_ids] - margin))) if inner_ids.size else 0.0
     outer_res = float(np.max(np.maximum(margin - alphas[outer_ids], 0.0))) if outer_ids.size else 0.0
     norm_dev = abs(float(np.linalg.norm(x)) - 1.0)
-    residuals = {"inner": inner_res, "outer": outer_res, "norm_dev": norm_dev}
+
+    # The same u holds the multipliers of G w >= h; folded back onto the 2K
+    # unscaled rows they bound every margin by ||rows^T nu|| / sum(nu).
+    mu = u / -r[-1]
+    nu = mu[:n_rows].copy()
+    nu[inner_ids] -= mu[n_rows:]
+    nu /= norms
+    mass = float(nu.sum())
+    gap = max(float(np.linalg.norm(rows.T @ nu)) / mass - margin, 0.0) if mass > 0 else np.inf
+    residuals = {"inner": inner_res, "outer": outer_res, "norm_dev": norm_dev, "duality_gap": gap}
 
     status = SolverStatus.OPTIMAL
     scale = max(1.0, margin)
-    if opts.certify:
-        gap, stationarity = _certificate(rows, inner_ids, outer_ids, w, margin)
-        residuals["duality_gap"] = gap
-        residuals["stationarity"] = stationarity
-        if gap > opts.tol * scale:
-            status = SolverStatus.MAX_ITER
+    if gap > opts.tol * scale:
+        status = SolverStatus.MAX_ITER
     if max(inner_res, outer_res, norm_dev) > opts.feas_tol * scale:
         status = SolverStatus.MAX_ITER
 

@@ -4,12 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slpsim import baselines, power_alloc
+from slpsim import baselines, power_alloc, slp_core
 from slpsim.cli import (
     _CONFIG_PARSERS,
     SWEEP_COLUMNS,
     TRACE_COLUMNS,
     check_power_allocation,
+    check_slp_solutions,
     main,
     parse_config,
     parse_snr_values,
@@ -132,17 +133,29 @@ def test_cli_f_trace(tmp_path):
     rc = main([
         "run", "--experiment", "F_TRACE", "--scheme", "SLP_IN_BLOCK,SLP_UNIFORM",
         "--users", "3", "--antennas", "3", "--block-len", "10",
-        "--snr-db", "40", "--seed", "2", "--out", str(out),
+        "--snr-db", "30,40", "--channels", "2", "--seed", "2", "--out", str(out),
     ])
     assert rc == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [c for c in rows[0]] == TRACE_COLUMNS
-    in_block = [float(r["f"]) for r in rows if r["scheme"] == "SLP_IN_BLOCK"]
-    uniform = [float(r["f"]) for r in rows if r["scheme"] == "SLP_UNIFORM"]
-    assert len(in_block) == 10 and len(uniform) == 10
-    assert np.ptp(in_block) <= 1e-6 * in_block[0]
-    assert np.ptp(uniform) > 1e-3 * uniform[0]
+    blocks = {}
+    for r in rows:
+        blocks.setdefault((r["scheme"], r["snr_db"], r["block"]), []).append(float(r["f"]))
+    assert sorted(blocks) == sorted(
+        (scheme, snr, block)
+        for scheme in ("SLP_IN_BLOCK", "SLP_UNIFORM")
+        for snr in ("30.0", "40.0")
+        for block in ("0", "1")
+    )
+    for (scheme, _, _), f in blocks.items():
+        assert len(f) == 10
+        if scheme == "SLP_IN_BLOCK":
+            assert np.ptp(f) <= 1e-6 * f[0]
+        else:
+            assert np.ptp(f) > 1e-3 * f[0]
+    # each block is a different channel draw
+    assert len({blocks[key][0] for key in blocks if key[0] == "SLP_IN_BLOCK"}) == 4
 
 
 def test_cli_byte_identical_reruns(tmp_path):
@@ -173,6 +186,20 @@ def test_verification_detects_budget_fault(monkeypatch):
     assert not result.passed
 
 
+def test_verification_detects_non_optimal_solve(monkeypatch):
+    original = slp_core.solve_ci_max
+
+    def max_iter(instance, opts=None):
+        sol = original(instance, opts)
+        sol.status = slp_core.SolverStatus.MAX_ITER
+        return sol
+
+    monkeypatch.setattr(slp_core, "solve_ci_max", max_iter)
+    result = check_slp_solutions(np.random.default_rng(0), n_samples=5)
+    assert not result.passed
+    assert "5 non-optimal solves" in result.detail
+
+
 def test_cli_verify_exit_code():
     assert main(["verify", "--seed", "0"]) == 0
 
@@ -187,7 +214,7 @@ def test_cli_verify_failure_exit_code(monkeypatch):
     assert main(["verify"]) == 3
 
 
-def test_cli_runtime_failure_exit_code(monkeypatch):
+def test_cli_runtime_failure_exit_code(monkeypatch, capsys):
     import slpsim.cli as cli
 
     def boom(cfg):
@@ -195,3 +222,4 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert main(["run", "--users", "2", "--antennas", "2"]) == 2
+    assert "runtime failure: RuntimeError: injected solver failure" in capsys.readouterr().err

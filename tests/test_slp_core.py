@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slpsim.channel import generate_channel, trial_rng
-from slpsim.constellation import build_constellation
+from slpsim.constellation import SUPPORTED_ORDERS, AxisClass, build_constellation, classify_component
 from slpsim.slp_core import (
     CiInstance,
     SlpSolution,
@@ -21,10 +21,17 @@ SPEC16 = build_constellation(16)
 SPEC4 = build_constellation(4)
 
 
-def random_instance(seed, users=2, antennas=2, spec=SPEC16):
+def random_instance(seed, users=2, antennas=2, spec=SPEC16, mask=None):
+    """Random channel and symbols; mask "inner"/"outer" draws only points
+    whose two axes are both of that class."""
     rng = trial_rng(seed)
     channel = generate_channel(users, antennas, rng)
-    symbols = spec.points[rng.integers(0, spec.order, users)]
+    points = spec.points
+    if mask is not None:
+        want = AxisClass(mask)
+        classes = [classify_component(spec, complex(p)) for p in points]
+        points = points[[c.real_class is want and c.imag_class is want for c in classes]]
+    symbols = points[rng.integers(0, points.size, users)]
     return build_instance(channel, symbols, spec)
 
 
@@ -77,12 +84,53 @@ def test_analytic_single_user_corner():
     np.testing.assert_allclose(sol.x, [(1 + 1j) / np.sqrt(2)], atol=1e-9)
 
 
-def test_solver_matches_bruteforce_oracle():
-    for seed in (10, 11, 12):
-        inst = random_instance(seed)
-        sol = solve_ci_max(inst)
-        oracle = margin_oracle_for_instance(inst)
-        assert sol.margin == pytest.approx(oracle, abs=1e-3)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    order=st.sampled_from(SUPPORTED_ORDERS),
+    users=st.integers(1, 4),
+    extra_antennas=st.integers(0, 2),
+    mask=st.sampled_from([None, "inner", "outer"]),
+)
+@example(seed=10, order=16, users=2, extra_antennas=0, mask=None)
+@example(seed=11, order=4, users=1, extra_antennas=0, mask=None)
+@example(seed=12, order=256, users=2, extra_antennas=2, mask="inner")
+@example(seed=13, order=64, users=4, extra_antennas=0, mask="outer")
+def test_solver_matches_bruteforce_oracle(seed, order, users, extra_antennas, mask):
+    assume(not (order == 4 and mask == "inner"))  # QPSK has no inner axis
+    inst = random_instance(seed, users, users + extra_antennas, build_constellation(order), mask)
+    sol = solve_ci_max(inst)
+    assert sol.status is SolverStatus.OPTIMAL
+    assert sol.margin == pytest.approx(margin_oracle_for_instance(inst), abs=1e-3)
+    assert sol.residuals["duality_gap"] <= 1e-8 * max(1.0, sol.margin)
+    assert verify_solution(inst, sol).passed
+
+
+_H_ROW = np.array([0.7 + 0.2j, -0.3 + 0.9j])
+_INNER, _CORNER = (1 + 1j) / np.sqrt(10), (3 + 3j) / np.sqrt(10)
+
+
+@pytest.mark.parametrize(
+    "H, symbols, margin",
+    [
+        (np.vstack([_H_ROW, _H_ROW]), (_INNER, _INNER), 2.673948),
+        (np.vstack([_H_ROW, _H_ROW]), (_INNER, (-1 + 1j) / np.sqrt(10)), 0.0),
+        (np.vstack([_H_ROW, _H_ROW]), (_CORNER, _CORNER), 0.891316),
+        (np.vstack([_H_ROW, _H_ROW]), (_INNER, _CORNER), 0.0),
+        (np.vstack([_H_ROW, np.zeros(2)]), (_INNER, _CORNER), 0.0),
+    ],
+    ids=["same-inner", "opposite-inner", "same-corner", "inner-vs-corner", "zero-row"],
+)
+def test_rank_deficient_channels(H, symbols, margin):
+    # two users behind one channel row: the margin exists only when both
+    # users' constraints can be met by the same receive sample
+    inst = build_instance(H, symbols, SPEC16)
+    sol = solve_ci_max(inst)
+    assert sol.status is SolverStatus.OPTIMAL
+    assert sol.margin == pytest.approx(margin, abs=1e-6)
+    assert sol.margin == pytest.approx(margin_oracle_for_instance(inst), abs=1e-3)
+    assert (sol.margin == 0.0) == ("degenerate" in sol.residuals)
+    assert verify_solution(inst, sol).passed
 
 
 def test_unit_norm_and_positive_margin():
