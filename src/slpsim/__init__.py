@@ -6,7 +6,7 @@ factor constant over a transmission block, ZF/RZF baselines, and a seeded
 Monte Carlo engine for BER / throughput sweeps.
 """
 
-from .baselines import LinearPrecoder, PrecoderKind, baseline_rescaling, rzf_precoder, zf_precoder
+from .baselines import LinearPrecoder, baseline_rescaling, rzf_precoder, zf_precoder
 from .channel import (
     ChannelRealization,
     NoiseModel,

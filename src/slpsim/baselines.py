@@ -9,17 +9,11 @@ block-level scheme they only broadcast it once per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .errors import ConfigurationError
-
-
-class PrecoderKind(Enum):
-    ZF = "zf"
-    RZF = "rzf"
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,6 @@ class LinearPrecoder:
 
     W: np.ndarray
     beta: float
-    kind: PrecoderKind
     ridge: float = 0.0
 
 
@@ -44,11 +37,11 @@ def _as_matrix(channel) -> np.ndarray:
     return np.asarray(channel, dtype=complex)
 
 
-def _normalized(W0: np.ndarray, kind: PrecoderKind, ridge: float) -> LinearPrecoder:
+def _normalized(W0: np.ndarray, ridge: float) -> LinearPrecoder:
     fro = float(np.linalg.norm(W0))
     if not np.isfinite(fro) or fro == 0:
         raise np.linalg.LinAlgError("precoder normalization failed (singular channel)")
-    return LinearPrecoder(W=W0 / fro, beta=1.0 / fro, kind=kind, ridge=ridge)
+    return LinearPrecoder(W=W0 / fro, beta=1.0 / fro, ridge=ridge)
 
 
 def zf_precoder(channel) -> LinearPrecoder:
@@ -60,7 +53,7 @@ def zf_precoder(channel) -> LinearPrecoder:
     H = _as_matrix(channel)
     gram = H @ H.conj().T
     W0 = H.conj().T @ np.linalg.inv(gram)
-    return _normalized(W0, PrecoderKind.ZF, ridge=0.0)
+    return _normalized(W0, ridge=0.0)
 
 
 def rzf_precoder(channel, sigma2: float, block_len: int, total_power: float) -> LinearPrecoder:
@@ -76,7 +69,7 @@ def rzf_precoder(channel, sigma2: float, block_len: int, total_power: float) -> 
     ridge = n_users * sigma2 * block_len / total_power
     gram = H @ H.conj().T + ridge * np.eye(n_users)
     W0 = H.conj().T @ np.linalg.inv(gram)
-    return _normalized(W0, PrecoderKind.RZF, ridge=ridge)
+    return _normalized(W0, ridge=ridge)
 
 
 def baseline_rescaling(precoder: LinearPrecoder, power: float) -> float:

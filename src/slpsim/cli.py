@@ -18,16 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import power_alloc, slp_core
-from .channel import generate_channel, sigma2_from_snr, trial_rng
+from .channel import generate_channel
 from .constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from .errors import ConfigurationError
-from .link_sim import (
-    Experiment,
-    LinkConfig,
-    quantize_broadcast,
-    run_monte_carlo,
-    simulate_block,
-)
+from .link_sim import BlockResult, Experiment, LinkConfig, quantize_broadcast, run_monte_carlo
 
 # Column orders are part of the output contract; never reorder.
 SWEEP_COLUMNS = [
@@ -80,23 +74,35 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"cannot parse boolean value {text!r}")
 
 
-# Config-file keys and their parsers: one per LinkConfig field.
-_CONFIG_PARSERS = {
-    "users": int,
-    "antennas": int,
-    "block_len": int,
-    "modulation": int,
-    "schemes": _parse_schemes,
-    "total_power": float,
-    "snr_db": parse_snr_values,
-    "feedback_bits": int,
-    "f_max": float,
-    "channels": int,
-    "seed": int,
-    "quantization": _parse_bool,
-    "experiment": str,
-    "out": str,
+# Config keys in LinkConfig field order, each with the parser that reads its
+# text, from a config file or from the command line alike, and the
+# `slpsim run` flag that sets it (None: config file only). The flag of a
+# boolean key takes no value and means "key = off".
+_FIELDS = {
+    "users": (int, "--users"),
+    "antennas": (int, "--antennas"),
+    "block_len": (int, "--block-len"),
+    "modulation": (int, "--mod"),
+    "schemes": (_parse_schemes, "--scheme"),
+    "total_power": (float, None),
+    "snr_db": (parse_snr_values, "--snr-db"),
+    "feedback_bits": (int, "--bits-feedback"),
+    "f_max": (float, None),
+    "channels": (int, "--channels"),
+    "seed": (int, "--seed"),
+    "quantization": (_parse_bool, "--no-quantization"),
+    "experiment": (str, "--experiment"),
+    "out": (str, "--out"),
 }
+
+
+def _parse_field(key: str, text: str, where: str):
+    try:
+        return _FIELDS[key][0](text)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def _read_config_file(path) -> dict:
@@ -109,21 +115,20 @@ def _read_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _FIELDS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        values[key] = _parse_field(key, value.strip(), f"{path}:{lineno}")
     return values
 
 
-def parse_config(path=None, overrides: dict | None = None) -> LinkConfig:
-    """Resolve the config from an optional key=value file plus overrides (None = unset)."""
+def parse_config(path=None, flags: dict | None = None) -> LinkConfig:
+    """Resolve the config from an optional key = value file and flag texts by key.
+
+    Flag texts override file values; both are read by their key's parser.
+    """
     values = _read_config_file(path) if path else {}
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    for key, text in (flags or {}).items():
+        values[key] = _parse_field(key, text, _FIELDS[key][1])
     return LinkConfig(**values)
 
 
@@ -143,60 +148,46 @@ def _write_csv(path, columns, rows):
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _run_columns(cfg: LinkConfig, scheme) -> dict:
+    """The columns that sweep and trace rows share: what was run."""
+    return {
+        "experiment": cfg.experiment,
+        "scheme": scheme,
+        "modulation": cfg.modulation,
+        "K": cfg.users,
+        "N_T": cfg.antennas,
+        "M": cfg.block_len,
+        "B": cfg.feedback_bits,
+        "seed": cfg.seed,
+    }
+
+
 def _sweep_rows(cfg: LinkConfig) -> list:
-    rows = []
-    for scheme in cfg.schemes:
-        for record in run_monte_carlo(cfg, scheme):
-            rows.append({
-                "experiment": cfg.experiment,
-                "scheme": scheme,
-                "modulation": cfg.modulation,
-                "K": cfg.users,
-                "N_T": cfg.antennas,
-                "M": cfg.block_len,
-                "B": cfg.feedback_bits,
-                "snr_db": record.snr_db,
-                "ber": record.ber,
-                "bler": record.bler,
-                "t_eff": record.t_eff,
-                "mean_f": record.mean_f,
-                "f_spread": record.f_spread,
-                "n_bits": record.n_bits,
-                "n_errors": record.n_errors,
-                "seed": cfg.seed,
-            })
-    return rows
+    return [
+        {**_run_columns(cfg, scheme), **vars(record)}
+        for scheme in cfg.schemes
+        for record in run_monte_carlo(cfg, scheme)
+    ]
 
 
 def _trace_rows(cfg: LinkConfig) -> list:
-    """Per-symbol ideal rescaling factors, one block per scheme, SNR point and channel.
+    """Per-symbol ideal rescaling factors of every block the sweep transmits.
 
-    Each block draws from the sweep's substream (seed, SNR index, trial), and
-    its trial index is the ``block`` column.
+    One block per scheme, SNR point and channel, from the sweep's substreams;
+    ``block`` is its trial index. Failed trials are discarded as in a sweep.
     """
     rows = []
     for scheme in cfg.schemes:
-        for snr_index, snr_db in enumerate(cfg.snr_db):
-            sigma2 = sigma2_from_snr(snr_db, cfg.block_len, cfg.total_power)
-            for trial in range(cfg.channels):
-                rng = trial_rng(cfg.seed, snr_index, trial)
-                channel = generate_channel(cfg.users, cfg.antennas, rng)
-                block = simulate_block(cfg, scheme, channel, sigma2, rng)
-                for m, f_value in enumerate(block.f_ideal):
-                    rows.append({
-                        "experiment": cfg.experiment,
-                        "scheme": scheme,
-                        "modulation": cfg.modulation,
-                        "K": cfg.users,
-                        "N_T": cfg.antennas,
-                        "M": cfg.block_len,
-                        "B": cfg.feedback_bits,
-                        "snr_db": snr_db,
-                        "block": trial,
-                        "symbol": m,
-                        "f": float(f_value),
-                        "seed": cfg.seed,
-                    })
+        _, per_snr_trials = run_monte_carlo(cfg, scheme, return_trials=True)
+        for snr_db, trials in zip(cfg.snr_db, per_snr_trials):
+            for trial, block in enumerate(trials):
+                if not isinstance(block, BlockResult):
+                    continue
+                rows.extend(
+                    {**_run_columns(cfg, scheme), "snr_db": snr_db, "block": trial,
+                     "symbol": m, "f": float(f_value)}
+                    for m, f_value in enumerate(block.f_ideal)
+                )
     return rows
 
 
@@ -346,71 +337,47 @@ def run_verification(cfg: LinkConfig | None = None, seed: int = 0) -> list:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_run_flags(parser):
-    parser.add_argument("--config", help="key = value experiment file")
-    parser.add_argument("--experiment", choices=[e.value for e in Experiment])
-    parser.add_argument("--scheme", dest="schemes",
-                        help="comma-separated schemes (default: all)")
-    parser.add_argument("--mod", dest="modulation", type=int, help="QAM order")
-    parser.add_argument("--users", type=int)
-    parser.add_argument("--antennas", type=int)
-    parser.add_argument("--block-len", dest="block_len", type=int)
-    parser.add_argument("--snr-db", dest="snr_db",
-                        help="grid: single value, comma list, or start:step:stop")
-    parser.add_argument("--channels", type=int)
-    parser.add_argument("--bits-feedback", dest="feedback_bits", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--no-quantization", action="store_true",
-                        help="broadcast the rescaling factor without error")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigurationError (exit 1), not by exiting 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
-def _overrides_from_args(args) -> dict:
-    return {
-        "users": args.users,
-        "antennas": args.antennas,
-        "block_len": args.block_len,
-        "modulation": args.modulation,
-        "channels": args.channels,
-        "feedback_bits": args.feedback_bits,
-        "seed": args.seed,
-        "out": args.out,
-        "experiment": args.experiment,
-        "schemes": None if args.schemes is None else _parse_schemes(args.schemes),
-        "snr_db": None if args.snr_db is None else parse_snr_values(args.snr_db),
-        "quantization": False if args.no_quantization else None,
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
         prog="slpsim",
         description="Symbol-level precoding link simulator with in-block power allocation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run an experiment and write its CSV")
-    _add_run_flags(run_parser)
+    run_parser.add_argument("--config", help="key = value experiment file")
+    for key, (parse, flag) in _FIELDS.items():
+        if flag and parse is _parse_bool:
+            run_parser.add_argument(flag, dest=key, action="store_const", const="off",
+                                    default=argparse.SUPPRESS, help=f"{key} = off")
+        elif flag:
+            run_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS,
+                                    help=f"config key {key}")
     verify_parser = sub.add_parser("verify", help="run the built-in verification suites")
     verify_parser.add_argument("--config", help="optional experiment file to take sizes from")
     verify_parser.add_argument("--seed", type=int, default=0)
+    return parser
 
-    args = parser.parse_args(argv)
 
-    if args.command == "verify":
-        try:
-            cfg = parse_config(args.config) if args.config else None
-        except (ConfigurationError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        results = run_verification(cfg, seed=args.seed)
-        for result in results:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{status} {result.name}: {result.detail}")
-        return 0 if all(r.passed for r in results) else 3
-
+def main(argv=None) -> int:
     try:
-        return run_experiment(parse_config(args.config, _overrides_from_args(args)))
-    except (ConfigurationError, OSError) as exc:  # bad config, worker count or path
+        args = _build_parser().parse_args(argv)
+        if args.command == "verify":
+            results = run_verification(parse_config(args.config) if args.config else None,
+                                       seed=args.seed)
+            for result in results:
+                print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+            return 0 if all(r.passed for r in results) else 3
+        flags = {key: text for key, text in vars(args).items() if key in _FIELDS}
+        return run_experiment(parse_config(args.config, flags))
+    except (ConfigurationError, OSError) as exc:  # bad flag, config, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver/runtime failures

@@ -111,13 +111,6 @@ def classify_component(spec: ConstellationSpec, point: complex) -> ComponentClas
     )
 
 
-def axis_outer_flags(spec: ConstellationSpec, symbols: np.ndarray):
-    """Vectorized per-axis OUTER flags for an array of constellation points."""
-    symbols = np.asarray(symbols)
-    thresh = spec.max_level - _POINT_ATOL
-    return np.abs(symbols.real) >= thresh, np.abs(symbols.imag) >= thresh
-
-
 def modulate(spec: ConstellationSpec, bits) -> np.ndarray:
     """Map a flat 0/1 bit sequence to constellation symbols.
 

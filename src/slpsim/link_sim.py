@@ -136,7 +136,6 @@ class BlockResult:
     n_user_block_errors: int
     f_ideal: np.ndarray           # pre-quantization rescaling factor per symbol
     tx_power: float               # sum_m p_m * ||x_m||^2 actually spent
-    margins: np.ndarray | None = None
 
     @property
     def f_spread(self) -> float:
@@ -203,14 +202,14 @@ def effective_throughput(
     return max(goodput - overhead, 0.0)
 
 
-def _slp_transmit(cfg: LinkConfig, channel, symbols, spec, opts):
+def _slp_transmit(cfg: LinkConfig, channel, symbols, spec):
     """Solve the per-symbol CI problems of a block; returns (X, margins)."""
     n_tx, M = channel.n_antennas, cfg.block_len
     X = np.empty((n_tx, M), dtype=complex)
     margins = np.empty(M)
     for m in range(M):
         inst = slp_core.build_instance(channel, symbols[:, m], spec)
-        sol = slp_core.solve_ci_max(inst, opts)
+        sol = slp_core.solve_ci_max(inst, slp_core.SolverOptions())
         if sol.status is not slp_core.SolverStatus.OPTIMAL:
             raise SolverFailure(f"CI solve not optimal at symbol {m}: {sol.residuals}")
         X[:, m] = sol.x
@@ -226,7 +225,12 @@ def simulate_block(
     rng: np.random.Generator,
     spec: ConstellationSpec | None = None,
 ) -> BlockResult:
-    """Transmit one block of ``scheme`` through ``channel`` and count receiver bit errors."""
+    """Transmit one block of ``scheme`` through ``channel`` and count receiver bit errors.
+
+    Each scheme yields its precoded block, its per-symbol powers, its ideal
+    rescaling factors and the factors it broadcasts: one per block for the
+    block-level schemes, one per symbol duration for uniform SLP.
+    """
     scheme = Scheme(scheme)
     spec = spec or build_constellation(cfg.modulation)
     K, M = cfg.users, cfg.block_len
@@ -236,51 +240,31 @@ def simulate_block(
     symbols = modulate(spec, bits.reshape(-1)).reshape(K, M)
     noise = sample_noise(NoiseModel(sigma2), K * M, rng).reshape(K, M)
 
-    margins = None
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
-        X, margins = _slp_transmit(cfg, channel, symbols, spec, slp_core.SolverOptions())
+        precoded, margins = _slp_transmit(cfg, channel, symbols, spec)
         if scheme is Scheme.SLP_IN_BLOCK:
             alloc = power_alloc.allocate_in_block(margins, cfg.total_power)
-            powers = alloc.powers
-            # per-symbol factors agree with the block value; keeping them
-            # individually computed lets tests check that equalization
-            f_ideal = np.array(
-                [power_alloc.per_symbol_rescaling(margins[m], powers[m]) for m in range(M)]
-            )
-            f_common = (
-                quantize_broadcast(alloc.rescale, cfg.feedback_bits, cfg.f_max, rng)
-                if cfg.quantization
-                else alloc.rescale
-            )
-            f_used = np.full(M, f_common)
         else:
-            powers = power_alloc.allocate_uniform(M, cfg.total_power).powers
-            f_ideal = np.array(
-                [power_alloc.per_symbol_rescaling(margins[m], powers[m]) for m in range(M)]
-            )
-            if cfg.quantization:
-                f_used = np.array(
-                    [quantize_broadcast(f, cfg.feedback_bits, cfg.f_max, rng) for f in f_ideal]
-                )
-            else:
-                f_used = f_ideal
-        precoded = X
+            alloc = power_alloc.allocate_uniform(M, cfg.total_power)
+        powers = alloc.powers
+        # In-block factors all equal alloc.rescale; computing them per symbol
+        # lets f_spread show that equalization. A uniform allocation has no
+        # common factor (rescale is None), so every symbol's is broadcast.
+        f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
+        broadcast = f_ideal if alloc.rescale is None else [alloc.rescale]
     else:
         if scheme is Scheme.ZF:
             prec = baselines.zf_precoder(channel)
         else:
             prec = baselines.rzf_precoder(channel, sigma2, M, cfg.total_power)
-        powers = power_alloc.allocate_uniform(M, cfg.total_power).powers
-        f_value = baselines.baseline_rescaling(prec, powers[0])
-        f_ideal = np.full(M, f_value)
-        f_common = (
-            quantize_broadcast(f_value, cfg.feedback_bits, cfg.f_max, rng)
-            if cfg.quantization
-            else f_value
-        )
-        f_used = np.full(M, f_common)
         precoded = prec.W @ symbols
+        powers = power_alloc.allocate_uniform(M, cfg.total_power).powers
+        broadcast = [baselines.baseline_rescaling(prec, powers[0])]
+        f_ideal = np.full(M, broadcast[0])
 
+    if cfg.quantization:
+        broadcast = [quantize_broadcast(f, cfg.feedback_bits, cfg.f_max, rng) for f in broadcast]
+    f_used = np.asarray(broadcast, dtype=float)
     received = f_used[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
     _, bits_hat = demodulate(spec, received.reshape(-1))
     bits_hat = bits_hat.reshape(K, M, bps)
@@ -294,7 +278,6 @@ def simulate_block(
         n_user_block_errors=int(np.count_nonzero(errors_per_user)),
         f_ideal=f_ideal,
         tx_power=tx_power,
-        margins=margins,
     )
 
 

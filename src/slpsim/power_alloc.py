@@ -93,11 +93,14 @@ def allocate_uniform(n_symbols: int, total_power: float) -> PowerAllocation:
     return PowerAllocation(powers=powers, mode=AllocationMode.UNIFORM, rescale=None)
 
 
-def per_symbol_rescaling(margin: float, power: float) -> float:
-    """Receiver rescaling factor 1 / (t * sqrt(p)) for one symbol duration."""
-    if margin <= 0 or power <= 0:
-        raise ValueError(f"margin and power must be > 0, got t={margin}, p={power}")
-    return 1.0 / (margin * np.sqrt(power))
+def per_symbol_rescaling(margins, powers):
+    """Receiver rescaling factors 1 / (t_m * sqrt(p_m)), elementwise over symbol durations."""
+    margins = np.asarray(margins, dtype=float)
+    powers = np.asarray(powers, dtype=float)
+    _check_margins(np.atleast_1d(margins))
+    if np.any(powers <= 0):
+        raise ValueError(f"powers must be > 0, got min {powers.min():.3e}")
+    return 1.0 / (margins * np.sqrt(powers))
 
 
 def verify_kkt(margins, powers, total_power: float, tol: float = 1e-9) -> KktCertificate:

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .channel import ChannelRealization
-from .constellation import AxisClass, ComponentClass, ConstellationSpec, classify_component
+from .constellation import AxisClass, ConstellationSpec, classify_component
 
 _RE, _IM = "re", "im"
 
@@ -69,7 +69,6 @@ class CiInstance:
 
     channel: ChannelRealization
     symbols: np.ndarray
-    classes: tuple[ComponentClass, ...]
     inner_index_set: tuple[tuple[int, str], ...]
     outer_index_set: tuple[tuple[int, str], ...]
 
@@ -115,15 +114,14 @@ def build_instance(channel, symbols, spec: ConstellationSpec) -> CiInstance:
         raise ValueError(
             f"expected {channel.n_users} symbols, got {symbols.size}"
         )
-    classes = tuple(classify_component(spec, complex(s)) for s in symbols)
     inner, outer = [], []
-    for k, cls in enumerate(classes):
+    for k, s in enumerate(symbols):
+        cls = classify_component(spec, complex(s))
         (outer if cls.real_class is AxisClass.OUTER else inner).append((k, _RE))
         (outer if cls.imag_class is AxisClass.OUTER else inner).append((k, _IM))
     return CiInstance(
         channel=channel,
         symbols=symbols,
-        classes=classes,
         inner_index_set=tuple(inner),
         outer_index_set=tuple(outer),
     )

@@ -4,9 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slpsim import baselines, power_alloc, slp_core
+from slpsim import baselines, cli, power_alloc, slp_core
 from slpsim.cli import (
-    _CONFIG_PARSERS,
+    _FIELDS,
     SWEEP_COLUMNS,
     TRACE_COLUMNS,
     check_power_allocation,
@@ -17,7 +17,7 @@ from slpsim.cli import (
     run_verification,
 )
 from slpsim.errors import ConfigurationError
-from slpsim.link_sim import LinkConfig, Scheme
+from slpsim.link_sim import WORKERS_ENV, LinkConfig, Scheme
 
 
 def test_parse_snr_range():
@@ -52,8 +52,31 @@ def test_parse_config_defaults(tmp_path):
     assert len(spec.schemes) == 4
 
 
-def test_config_keys_are_the_config_fields():
-    assert list(_CONFIG_PARSERS) == [f.name for f in fields(LinkConfig)]
+# One value per flagged config key, each different from the default.
+FLAG_SAMPLES = {
+    "users": "3", "antennas": "5", "block_len": "7", "modulation": "64",
+    "schemes": "ZF,RZF", "snr_db": "0:10:20", "feedback_bits": "3", "channels": "9",
+    "seed": "4", "quantization": "off", "experiment": "F_TRACE", "out": "trace.csv",
+}
+
+
+def test_fields_table_gives_flags_and_file_keys_one_meaning(tmp_path, monkeypatch):
+    assert list(_FIELDS) == [f.name for f in fields(LinkConfig)]
+    flagged = {key: flag for key, (_, flag) in _FIELDS.items() if flag}
+    assert set(flagged) == set(FLAG_SAMPLES)
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", seen.append)
+    for key, flag in flagged.items():
+        text = FLAG_SAMPLES[key]
+        cfg_file = tmp_path / f"{key}.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        argv = [flag] if flag == "--no-quantization" else [flag, text]
+        seen.clear()
+        main(["run", *argv])
+        main(["run", "--config", str(cfg_file)])
+        from_flag, from_file = seen
+        assert from_flag == from_file, key
+        assert getattr(from_flag, key) != getattr(LinkConfig(), key), key
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -90,7 +113,18 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "snr_db" in capsys.readouterr().err
+    # flag values are read by the config-file parsers, and usage errors are
+    # configuration errors too
+    for bad in (["--users", "abc"], ["--channels", "1.5"], ["--mod", "x"],
+                ["--experiment", "FOO"], ["--bogus", "1"]):
+        assert main(["run", *bad, "--out", str(tmp_path / "x.csv")]) == 1, bad
+        assert bad[0].lstrip("-") in capsys.readouterr().err.lower()
+    assert main([]) == 1
+    assert main(["verify", "--seed", "x"]) == 1
     assert not (tmp_path / "x.csv").exists()
+    with pytest.raises(SystemExit) as help_exit:
+        main(["run", "--help"])
+    assert help_exit.value.code == 0
 
 
 def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
@@ -156,6 +190,17 @@ def test_cli_f_trace(tmp_path):
             assert np.ptp(f) > 1e-3 * f[0]
     # each block is a different channel draw
     assert len({blocks[key][0] for key in blocks if key[0] == "SLP_IN_BLOCK"}) == 4
+
+
+def test_cli_f_trace_is_the_same_at_every_worker_count(tmp_path, monkeypatch):
+    args = ["run", "--experiment", "F_TRACE", "--users", "2", "--antennas", "2",
+            "--block-len", "4", "--snr-db", "10,30", "--channels", "3", "--seed", "3"]
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        outputs.append(tmp_path / f"trace-{workers}.csv")
+        assert main(args + ["--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
+from slpsim import link_sim
+from slpsim.channel import ChannelRealization, generate_channel, sigma2_from_snr, trial_rng
 from slpsim.cli import main
-from slpsim.errors import ConfigurationError
+from slpsim.errors import ConfigurationError, SolverFailure
 from slpsim.link_sim import (
     LinkConfig,
     Scheme,
@@ -135,8 +136,16 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("scheme", [Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM])
+def test_degenerate_channel_discards_the_trial(monkeypatch, scheme):
+    # user 2 has no channel: its CI margin is 0 whatever the power allocation
+    H = np.array([[0.7 + 0.2j, -0.3 + 0.9j], [0, 0]])
+    monkeypatch.setattr(link_sim, "generate_channel", lambda *args: ChannelRealization(H))
+    with pytest.raises(SolverFailure, match="every trial failed.*DegenerateMarginError"):
+        run_monte_carlo(make_cfg(channels=2), scheme)
+
+
 def test_worker_env_override(monkeypatch, tmp_path):
-    from slpsim import link_sim
     from slpsim.link_sim import MAX_WORKERS, WORKERS_ENV, _worker_count
 
     monkeypatch.setenv(WORKERS_ENV, "3")

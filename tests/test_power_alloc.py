@@ -65,6 +65,16 @@ def test_per_symbol_rescaling_values():
         per_symbol_rescaling(0.0, 1.0)
     with pytest.raises(ValueError):
         per_symbol_rescaling(1.0, 0.0)
+    # arrays give the scalar values elementwise, and any bad entry raises
+    margins, powers = np.array([0.5, 1.0, 2.0]), np.array([0.2, 0.3, 0.5])
+    np.testing.assert_array_equal(
+        per_symbol_rescaling(margins, powers),
+        [per_symbol_rescaling(t, p) for t, p in zip(margins, powers)],
+    )
+    with pytest.raises(DegenerateMarginError):
+        per_symbol_rescaling(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="powers"):
+        per_symbol_rescaling(margins, np.array([0.5, 0.5, 0.0]))
 
 
 def test_kkt_accepts_closed_form():

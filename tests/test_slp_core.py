@@ -150,7 +150,6 @@ def test_scale_equivariance(seed, scale):
     scaled = CiInstance(
         channel=type(inst.channel)(inst.channel.H * scale),
         symbols=inst.symbols,
-        classes=inst.classes,
         inner_index_set=inst.inner_index_set,
         outer_index_set=inst.outer_index_set,
     )
@@ -169,7 +168,6 @@ def test_relaxing_inner_to_outer_never_hurts(seed):
     relaxed = CiInstance(
         channel=inst.channel,
         symbols=inst.symbols,
-        classes=inst.classes,
         inner_index_set=inst.inner_index_set[1:],
         outer_index_set=inst.outer_index_set + inst.inner_index_set[:1],
     )
