@@ -9,15 +9,12 @@ Monte Carlo engine for BER / throughput sweeps.
 from .baselines import LinearPrecoder, baseline_rescaling, rzf_precoder, zf_precoder
 from .channel import (
     ChannelRealization,
-    NoiseModel,
     generate_channel,
     sample_noise,
     sigma2_from_snr,
     trial_rng,
 )
 from .constellation import (
-    AxisClass,
-    ComponentClass,
     ConstellationSpec,
     SUPPORTED_ORDERS,
     build_constellation,
@@ -53,7 +50,6 @@ from .slp_core import (
     SolverOptions,
     SolverStatus,
     build_instance,
-    compute_alphas,
     solve_ci_max,
     verify_solution,
 )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .errors import ConfigurationError
 
 
@@ -31,12 +30,6 @@ class LinearPrecoder:
     ridge: float = 0.0
 
 
-def _as_matrix(channel) -> np.ndarray:
-    if isinstance(channel, ChannelRealization):
-        return channel.H
-    return np.asarray(channel, dtype=complex)
-
-
 def _normalized(W0: np.ndarray, ridge: float) -> LinearPrecoder:
     fro = float(np.linalg.norm(W0))
     if not np.isfinite(fro) or fro == 0:
@@ -44,25 +37,23 @@ def _normalized(W0: np.ndarray, ridge: float) -> LinearPrecoder:
     return LinearPrecoder(W=W0 / fro, beta=1.0 / fro, ridge=ridge)
 
 
-def zf_precoder(channel) -> LinearPrecoder:
+def zf_precoder(H: np.ndarray) -> LinearPrecoder:
     """Channel-inverting precoder W = H^H (H H^H)^-1, Frobenius-normalized.
 
     Raises numpy.linalg.LinAlgError on rank-deficient channels; the Monte
     Carlo engine logs and discards such trials.
     """
-    H = _as_matrix(channel)
     gram = H @ H.conj().T
     W0 = H.conj().T @ np.linalg.inv(gram)
     return _normalized(W0, ridge=0.0)
 
 
-def rzf_precoder(channel, sigma2: float, block_len: int, total_power: float) -> LinearPrecoder:
+def rzf_precoder(H: np.ndarray, sigma2: float, block_len: int, total_power: float) -> LinearPrecoder:
     """Regularized ZF with MMSE-style loading at the per-symbol SNR.
 
     The ridge K * sigma2 * M / P_T equals K over the per-symbol transmit SNR;
     it is the classic choice and is configurable through this signature.
     """
-    H = _as_matrix(channel)
     if total_power <= 0 or block_len < 1:
         raise ConfigurationError("need total_power > 0 and block_len >= 1")
     n_users = H.shape[0]

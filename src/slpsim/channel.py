@@ -39,17 +39,6 @@ class ChannelRealization:
         return self.H.shape[1]
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Complex receiver noise, CN(0, sigma2) per sample."""
-
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ConfigurationError(f"noise variance must be >= 0, got {self.sigma2}")
-
-
 def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw an i.i.d. CN(0, 1) flat-fading channel, deterministic under the rng seed."""
     if n_users < 1:
@@ -65,13 +54,15 @@ def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) ->
     return ChannelRealization(H)
 
 
-def sample_noise(model: NoiseModel, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_noise(sigma2: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. CN(0, sigma2) samples (real/imag variance sigma2/2 each)."""
+    if sigma2 < 0:
+        raise ConfigurationError(f"noise variance must be >= 0, got {sigma2}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if model.sigma2 == 0.0:
+    if sigma2 == 0.0:
         return np.zeros(count, dtype=complex)
-    scale = np.sqrt(model.sigma2 / 2.0)
+    scale = np.sqrt(sigma2 / 2.0)
     return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
 
 

@@ -1,19 +1,18 @@
-"""Square-QAM constellations: Gray labeling, per-axis amplitude classes, mod/demod.
+"""Square-QAM constellations: Gray labeling, outer-axis flags, mod/demod.
 
 Conventions (documented here because they fix the bit-error accounting):
   * constellations are normalized to unit average symbol energy;
   * bit labels are split MSB-first into a real-axis half and an imaginary-axis
     half, each mapped with a binary-reflected Gray code over the amplitude
     levels in ascending order;
-  * a per-axis component is OUTER when its amplitude sits at the outermost
-    level of the grid, INNER otherwise.
+  * a per-axis component is outer when its amplitude sits at the outermost
+    level of the grid, inner otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,19 +22,6 @@ SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 # Tolerance for matching a complex sample to a nominal constellation point.
 _POINT_ATOL = 1e-9
-
-
-class AxisClass(Enum):
-    INNER = "inner"
-    OUTER = "outer"
-
-
-@dataclass(frozen=True)
-class ComponentClass:
-    """Per-axis amplitude class of one constellation point."""
-
-    real_class: AxisClass
-    imag_class: AxisClass
 
 
 @dataclass(frozen=True)
@@ -95,20 +81,20 @@ def build_constellation(order: int) -> ConstellationSpec:
     )
 
 
-def classify_component(spec: ConstellationSpec, point: complex) -> ComponentClass:
-    """Classify both axes of a constellation point as INNER or OUTER.
+def classify_component(spec: ConstellationSpec, points) -> tuple[np.ndarray, np.ndarray]:
+    """Flag the outer axes of constellation points.
 
-    Raises ValueError if ``point`` is not (within 1e-9) a constellation point.
+    Returns ``(re_outer, im_outer)``, boolean arrays shaped like ``points``.
+    Raises ValueError if any point is not (within 1e-9) a constellation point.
     """
-    dists = np.abs(spec.points - point)
-    if dists.min() > _POINT_ATOL:
-        raise ValueError(f"{point!r} is not a point of the {spec.order}-QAM constellation")
-    re_outer = abs(float(np.real(point))) >= spec.max_level - _POINT_ATOL
-    im_outer = abs(float(np.imag(point))) >= spec.max_level - _POINT_ATOL
-    return ComponentClass(
-        real_class=AxisClass.OUTER if re_outer else AxisClass.INNER,
-        imag_class=AxisClass.OUTER if im_outer else AxisClass.INNER,
-    )
+    points = np.asarray(points, dtype=complex)
+    flat = points.reshape(-1)
+    member = np.abs(flat[:, None] - spec.points).min(axis=1) <= _POINT_ATOL
+    if not member.all():
+        foreign = complex(flat[~member][0])
+        raise ValueError(f"{foreign!r} is not a point of the {spec.order}-QAM constellation")
+    edge = spec.max_level - _POINT_ATOL
+    return np.abs(points.real) >= edge, np.abs(points.imag) >= edge
 
 
 def modulate(spec: ConstellationSpec, bits) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 from . import baselines, power_alloc, slp_core
 from .channel import (
     ChannelRealization,
-    NoiseModel,
     generate_channel,
     sample_noise,
     sigma2_from_snr,
@@ -209,7 +208,7 @@ def _slp_transmit(cfg: LinkConfig, channel, symbols, spec):
     margins = np.empty(M)
     for m in range(M):
         inst = slp_core.build_instance(channel, symbols[:, m], spec)
-        sol = slp_core.solve_ci_max(inst, slp_core.SolverOptions())
+        sol = slp_core.solve_ci_max(inst)
         if sol.status is not slp_core.SolverStatus.OPTIMAL:
             raise SolverFailure(f"CI solve not optimal at symbol {m}: {sol.residuals}")
         X[:, m] = sol.x
@@ -238,7 +237,7 @@ def simulate_block(
 
     bits = rng.integers(0, 2, size=(K, M, bps))
     symbols = modulate(spec, bits.reshape(-1)).reshape(K, M)
-    noise = sample_noise(NoiseModel(sigma2), K * M, rng).reshape(K, M)
+    noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
         precoded, margins = _slp_transmit(cfg, channel, symbols, spec)
@@ -254,9 +253,9 @@ def simulate_block(
         broadcast = f_ideal if alloc.rescale is None else [alloc.rescale]
     else:
         if scheme is Scheme.ZF:
-            prec = baselines.zf_precoder(channel)
+            prec = baselines.zf_precoder(channel.H)
         else:
-            prec = baselines.rzf_precoder(channel, sigma2, M, cfg.total_power)
+            prec = baselines.rzf_precoder(channel.H, sigma2, M, cfg.total_power)
         precoded = prec.W @ symbols
         powers = power_alloc.allocate_uniform(M, cfg.total_power).powers
         broadcast = [baselines.baseline_rescaling(prec, powers[0])]

@@ -4,7 +4,7 @@ For one symbol duration the design variable is the precoded transmit vector
 x (the product of the precoding matrix and the symbol vector; the matrix
 itself is never needed). Writing the noiseless receive sample of user k as
 
-    h_k^T x = alpha_re[k] * Re{s_k} + j * alpha_im[k] * Im{s_k},
+    h_k^T x = alphas[2k] * Re{s_k} + j * alphas[2k+1] * Im{s_k},
 
 each of the 2K (user, axis) components is either *inner* (its scale factor
 must equal the common margin t, or the sample would leave its decision
@@ -13,8 +13,9 @@ into the region). The precoder maximizes t subject to those constraints and
 ||x||_2 <= 1.
 
 Solution method: each scale factor is a fixed linear functional of the
-stacked real vector w = [Re x; Im x]. For t > 0 the substitution w -> w / t
-turns the problem into the strictly convex least-distance program
+stacked real vector w = [Re x; Im x], so the 2K coupling rows G map w to the
+2K scale factors (alphas = G w). For t > 0 the substitution w -> w / t turns
+the problem into the strictly convex least-distance program
 
     minimize ||w||  s.t.  G_inner w = 1,  G_outer w >= 1,
 
@@ -28,7 +29,9 @@ take the same path, and an empty constraint set shows up as a zero NNLS
 residual. The NNLS solution also gives the Lagrange multipliers nu (free on
 the inner rows, nonnegative on the outer ones). By weak duality,
 ||G^T nu|| / sum(nu) bounds every achievable margin from above, so its excess
-over t* is a certified duality gap at no extra cost.
+over t* is a certified duality gap at no extra cost. The reported scale
+factors are read off the same coupling rows at the returned point, and the
+status is verify_solution's verdict on them plus the norm and gap tolerances.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .channel import ChannelRealization
-from .constellation import AxisClass, ConstellationSpec, classify_component
+from .constellation import ConstellationSpec, classify_component
 
 _RE, _IM = "re", "im"
 
@@ -77,8 +80,7 @@ class CiInstance:
 class SlpSolution:
     x: np.ndarray              # (N_T,) complex precoded vector, ||x|| = 1 at optimum
     margin: float              # common scale t of the inner components
-    alpha_re: np.ndarray       # per-user real-axis scale factors
-    alpha_im: np.ndarray       # per-user imaginary-axis scale factors
+    alphas: np.ndarray         # (2K,) scale factors: user k's real axis at 2k, imaginary at 2k+1
     status: SolverStatus
     residuals: dict = field(default_factory=dict)
 
@@ -100,25 +102,18 @@ class ResidualReport:
     passed: bool
 
 
-def _as_channel(channel) -> ChannelRealization:
-    if isinstance(channel, ChannelRealization):
-        return channel
-    return ChannelRealization(np.asarray(channel, dtype=complex))
-
-
-def build_instance(channel, symbols, spec: ConstellationSpec) -> CiInstance:
+def build_instance(channel: ChannelRealization, symbols, spec: ConstellationSpec) -> CiInstance:
     """Split the 2K (user, axis) components of a symbol vector into inner/outer sets."""
-    channel = _as_channel(channel)
     symbols = np.asarray(symbols, dtype=complex).reshape(-1)
     if symbols.size != channel.n_users:
         raise ValueError(
             f"expected {channel.n_users} symbols, got {symbols.size}"
         )
+    re_outer, im_outer = classify_component(spec, symbols)
     inner, outer = [], []
-    for k, s in enumerate(symbols):
-        cls = classify_component(spec, complex(s))
-        (outer if cls.real_class is AxisClass.OUTER else inner).append((k, _RE))
-        (outer if cls.imag_class is AxisClass.OUTER else inner).append((k, _IM))
+    for k, flags in enumerate(zip(re_outer.tolist(), im_outer.tolist())):
+        for axis, is_outer in zip((_RE, _IM), flags):
+            (outer if is_outer else inner).append((k, axis))
     return CiInstance(
         channel=channel,
         symbols=symbols,
@@ -149,25 +144,13 @@ def _row_ids(index_set) -> np.ndarray:
 
 
 def _zero_solution(instance: CiInstance, status: SolverStatus, residuals) -> SlpSolution:
-    n_users = instance.channel.n_users
     return SlpSolution(
         x=np.zeros(instance.channel.n_antennas, dtype=complex),
         margin=0.0,
-        alpha_re=np.zeros(n_users),
-        alpha_im=np.zeros(n_users),
+        alphas=np.zeros(2 * instance.channel.n_users),
         status=status,
         residuals=residuals,
     )
-
-
-def compute_alphas(channel, x: np.ndarray, symbols):
-    """Per-axis scale factors realized by a transmit vector x."""
-    H = _as_channel(channel).H
-    symbols = np.asarray(symbols, dtype=complex).reshape(-1)
-    if np.any(symbols.real == 0) or np.any(symbols.imag == 0):
-        raise ValueError("symbols must have nonzero real and imaginary parts")
-    y = H @ np.asarray(x, dtype=complex)
-    return y.real / symbols.real, y.imag / symbols.imag
 
 
 def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> SlpSolution:
@@ -182,8 +165,7 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     H = instance.channel.H
     rows = _coupling_rows(H, instance.symbols)
     inner_ids = _row_ids(instance.inner_index_set)
-    outer_ids = _row_ids(instance.outer_index_set)
-    if inner_ids.size + outer_ids.size != rows.shape[0]:
+    if inner_ids.size + len(instance.outer_index_set) != rows.shape[0]:
         raise ValueError("inner/outer sets must partition the 2K components")
 
     # Row scaling for conditioning; the scaled system keeps the same geometry.
@@ -214,14 +196,7 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     stacked = w * margin
     n_tx = H.shape[1]
     x = stacked[:n_tx] + 1j * stacked[n_tx:]
-    alpha_re, alpha_im = compute_alphas(instance.channel, x, instance.symbols)
-
-    alphas = np.empty(n_rows)
-    alphas[0::2] = alpha_re
-    alphas[1::2] = alpha_im
-    inner_res = float(np.max(np.abs(alphas[inner_ids] - margin))) if inner_ids.size else 0.0
-    outer_res = float(np.max(np.maximum(margin - alphas[outer_ids], 0.0))) if outer_ids.size else 0.0
-    norm_dev = abs(float(np.linalg.norm(x)) - 1.0)
+    sol = SlpSolution(x=x, margin=margin, alphas=rows @ stacked, status=SolverStatus.OPTIMAL)
 
     # The same u holds the multipliers of G w >= h; folded back onto the 2K
     # unscaled rows they bound every margin by ||rows^T nu|| / sum(nu).
@@ -231,23 +206,14 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     nu /= norms
     mass = float(nu.sum())
     gap = max(float(np.linalg.norm(rows.T @ nu)) / mass - margin, 0.0) if mass > 0 else np.inf
-    residuals = {"inner": inner_res, "outer": outer_res, "norm_dev": norm_dev, "duality_gap": gap}
 
-    status = SolverStatus.OPTIMAL
     scale = max(1.0, margin)
-    if gap > opts.tol * scale:
-        status = SolverStatus.MAX_ITER
-    if max(inner_res, outer_res, norm_dev) > opts.feas_tol * scale:
-        status = SolverStatus.MAX_ITER
-
-    return SlpSolution(
-        x=x,
-        margin=margin,
-        alpha_re=alpha_re,
-        alpha_im=alpha_im,
-        status=status,
-        residuals=residuals,
-    )
+    report = verify_solution(instance, sol, tol=opts.feas_tol * scale)
+    sol.residuals = {"inner": report.inner, "outer": report.outer,
+                     "norm_dev": report.norm_dev, "duality_gap": gap}
+    if not report.passed or report.norm_dev > opts.feas_tol * scale or gap > opts.tol * scale:
+        sol.status = SolverStatus.MAX_ITER
+    return sol
 
 
 def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -> ResidualReport:
@@ -256,14 +222,11 @@ def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -
     Uses the stored alphas (not ones recomputed from x) so that tampering
     with x shows up as a coupling violation.
     """
-    H = instance.channel.H
-    y = H @ sol.x
-    target = sol.alpha_re * instance.symbols.real + 1j * sol.alpha_im * instance.symbols.imag
+    y = instance.channel.H @ sol.x
+    alphas = sol.alphas
+    target = alphas[0::2] * instance.symbols.real + 1j * alphas[1::2] * instance.symbols.imag
     coupling = float(np.max(np.abs(y - target))) if y.size else 0.0
 
-    alphas = np.empty(2 * instance.channel.n_users)
-    alphas[0::2] = sol.alpha_re
-    alphas[1::2] = sol.alpha_im
     inner_ids = _row_ids(instance.inner_index_set)
     outer_ids = _row_ids(instance.outer_index_set)
     inner = float(np.max(np.abs(alphas[inner_ids] - sol.margin))) if inner_ids.size else 0.0

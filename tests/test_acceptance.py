@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
+from slpsim.channel import ChannelRealization, generate_channel, sigma2_from_snr, trial_rng
 from slpsim.cli import main
 from slpsim.constellation import build_constellation
 from slpsim.link_sim import (
@@ -187,9 +187,9 @@ def test_c3_slp_solver_correctness():
     start = time.time()
     spec = build_constellation(16)
 
-    inst = build_instance(np.array([[1.0 + 0j]]), [(1 + 1j) / np.sqrt(10)], spec)
+    inst = build_instance(ChannelRealization(np.array([[1.0 + 0j]])), [(1 + 1j) / np.sqrt(10)], spec)
     err_inner = abs(solve_ci_max(inst).margin - np.sqrt(5))
-    inst = build_instance(np.array([[1.0 + 0j]]), [(3 + 3j) / np.sqrt(10)], spec)
+    inst = build_instance(ChannelRealization(np.array([[1.0 + 0j]])), [(3 + 3j) / np.sqrt(10)], spec)
     err_corner = abs(solve_ci_max(inst).margin - np.sqrt(5) / 3)
 
     worst_oracle = 0.0

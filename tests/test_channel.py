@@ -3,7 +3,6 @@ import pytest
 
 from slpsim.channel import (
     ChannelRealization,
-    NoiseModel,
     generate_channel,
     sample_noise,
     sigma2_from_snr,
@@ -42,12 +41,12 @@ def test_entry_statistics():
 
 
 def test_noise_zero_variance():
-    samples = sample_noise(NoiseModel(0.0), 100, trial_rng(0))
+    samples = sample_noise(0.0, 100, trial_rng(0))
     assert np.all(samples == 0)
 
 
 def test_noise_statistics():
-    samples = sample_noise(NoiseModel(0.5), 100_000, trial_rng(3))
+    samples = sample_noise(0.5, 100_000, trial_rng(3))
     assert abs(np.var(samples.real) - 0.25) < 0.02
     assert abs(np.var(samples.imag) - 0.25) < 0.02
     assert abs(np.mean(np.abs(samples) ** 2) - 0.5) < 0.02
@@ -55,11 +54,11 @@ def test_noise_statistics():
 
 def test_noise_negative_variance_rejected():
     with pytest.raises(ConfigurationError):
-        NoiseModel(-1.0)
+        sample_noise(-1.0, 1, trial_rng(0))
 
 
 def test_noise_empty_draw():
-    assert sample_noise(NoiseModel(1.0), 0, trial_rng(0)).size == 0
+    assert sample_noise(1.0, 0, trial_rng(0)).size == 0
 
 
 def test_sigma2_from_snr_values():

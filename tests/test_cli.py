@@ -4,12 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slpsim import baselines, cli, power_alloc, slp_core
+from slpsim import baselines, cli, slp_core
 from slpsim.cli import (
     _FIELDS,
     SWEEP_COLUMNS,
     TRACE_COLUMNS,
-    check_power_allocation,
     check_slp_solutions,
     main,
     parse_config,
@@ -127,6 +126,20 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert help_exit.value.code == 0
 
 
+def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_trials)
+    for experiment in ("BER_SWEEP", "F_TRACE"):
+        rc = main(["run", "--experiment", experiment, "--users", "12", "--antennas", "12",
+                   "--block-len", "200", "--channels", "6",
+                   "--out", str(tmp_path / "nonexistent" / "x.csv")])
+        assert rc == 1
+        assert "x.csv" in capsys.readouterr().err
+    assert main(["run", "--out", str(tmp_path)]) == 1
+
+
 def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
     def singular(channel):
         raise np.linalg.LinAlgError("injected singular channel")
@@ -135,6 +148,7 @@ def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
     args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2",
             "--snr-db", "10", "--out", str(tmp_path / "x.csv")]
     assert main(args + ["--channels", "3"]) == 2
+    assert not (tmp_path / "x.csv").exists()
     err = capsys.readouterr().err
     assert "scheme=ZF" in err and "snr=10.0 dB" in err and "injected singular channel" in err
     # no trial attempted is not a failure: the row reports zero bits
@@ -217,18 +231,6 @@ def test_cli_byte_identical_reruns(tmp_path):
 def test_verification_suites_pass():
     results = run_verification(seed=0)
     assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
-
-
-def test_verification_detects_budget_fault(monkeypatch):
-    original = power_alloc.allocate_in_block
-
-    def over_budget(margins, total_power):
-        alloc = original(margins, total_power)
-        return power_alloc.PowerAllocation(alloc.powers * 1.01, alloc.mode, alloc.rescale)
-
-    monkeypatch.setattr(power_alloc, "allocate_in_block", over_budget)
-    result = check_power_allocation(np.random.default_rng(0), n_samples=30)
-    assert not result.passed
 
 
 def test_verification_detects_non_optimal_solve(monkeypatch):

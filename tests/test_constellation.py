@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slpsim.constellation import (
-    AxisClass,
     SUPPORTED_ORDERS,
     build_constellation,
     classify_component,
@@ -36,9 +35,8 @@ def test_64qam_levels():
 def test_qpsk_all_corner_points():
     spec = build_constellation(4)
     np.testing.assert_allclose(spec.levels, np.array([-1, 1]) / np.sqrt(2))
-    for p in spec.points:
-        c = classify_component(spec, complex(p))
-        assert (c.real_class, c.imag_class) == (AxisClass.OUTER, AxisClass.OUTER)
+    re_outer, im_outer = classify_component(spec, spec.points)
+    assert re_outer.all() and im_outer.all()
 
 
 def test_unsupported_order_rejected():
@@ -71,21 +69,27 @@ def test_gray_adjacency(order):
 
 def test_classify_16qam_types():
     spec = build_constellation(16)
-    c = classify_component(spec, (1 + 1j) / np.sqrt(10))
-    assert (c.real_class, c.imag_class) == (AxisClass.INNER, AxisClass.INNER)
-    c = classify_component(spec, (3 + 1j) / np.sqrt(10))
-    assert (c.real_class, c.imag_class) == (AxisClass.OUTER, AxisClass.INNER)
-    c = classify_component(spec, (1 + 3j) / np.sqrt(10))
-    assert (c.real_class, c.imag_class) == (AxisClass.INNER, AxisClass.OUTER)
-    c = classify_component(spec, (3 + 3j) / np.sqrt(10))
-    assert (c.real_class, c.imag_class) == (AxisClass.OUTER, AxisClass.OUTER)
+    points = np.array([1 + 1j, 3 + 1j, 1 + 3j, 3 + 3j]) / np.sqrt(10)
+    re_outer, im_outer = classify_component(spec, points)
+    assert re_outer.tolist() == [False, True, False, True]
+    assert im_outer.tolist() == [False, False, True, True]
 
 
-def test_classify_partition_16qam():
-    spec = build_constellation(16)
-    classes = [classify_component(spec, complex(p)) for p in spec.points]
-    types = Counter((c.real_class, c.imag_class) for c in classes)
-    assert len(types) == 4 and set(types.values()) == {4}
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_classify_partition_16qam(order):
+    spec = build_constellation(order)
+    side = int(np.sqrt(order))
+    re_outer, im_outer = classify_component(spec, spec.points)
+    # the two outermost levels of an axis, paired with every level of the other
+    assert re_outer.sum() == im_outer.sum() == order * 2 // side
+    types = Counter(zip(re_outer.tolist(), im_outer.tolist()))
+    expected = {
+        (True, True): 4,
+        (True, False): 2 * (side - 2),
+        (False, True): 2 * (side - 2),
+        (False, False): (side - 2) ** 2,
+    }
+    assert types == {t: n for t, n in expected.items() if n}
 
 
 def test_classify_rejects_foreign_point():

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slpsim.channel import generate_channel, trial_rng
-from slpsim.constellation import SUPPORTED_ORDERS, AxisClass, build_constellation, classify_component
+from slpsim.channel import ChannelRealization, generate_channel, trial_rng
+from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from slpsim.slp_core import (
     CiInstance,
     SlpSolution,
     SolverStatus,
     build_instance,
-    compute_alphas,
     solve_ci_max,
     verify_solution,
 )
@@ -28,9 +27,9 @@ def random_instance(seed, users=2, antennas=2, spec=SPEC16, mask=None):
     channel = generate_channel(users, antennas, rng)
     points = spec.points
     if mask is not None:
-        want = AxisClass(mask)
-        classes = [classify_component(spec, complex(p)) for p in points]
-        points = points[[c.real_class is want and c.imag_class is want for c in classes]]
+        re_outer, im_outer = classify_component(spec, points)
+        want = mask == "outer"
+        points = points[(re_outer == want) & (im_outer == want)]
     symbols = points[rng.integers(0, points.size, users)]
     return build_instance(channel, symbols, spec)
 
@@ -64,12 +63,25 @@ def test_build_instance_rejects_foreign_symbol():
     H = generate_channel(1, 1, trial_rng(3))
     with pytest.raises(ValueError):
         build_instance(H, [0.2 + 0.2j], SPEC16)
+    H3 = generate_channel(3, 3, trial_rng(3))
+    with pytest.raises(ValueError, match="0.2"):
+        build_instance(H3, [SPEC16.points[0], SPEC16.points[5], 0.2 + 0.2j], SPEC16)
+    # a zero-axis symbol has no scale factor on that axis, even when an
+    # instance is built by hand around the classification
+    zero_axis = CiInstance(
+        channel=H,
+        symbols=np.array([1.0 + 0j]),
+        inner_index_set=((0, "re"), (0, "im")),
+        outer_index_set=(),
+    )
+    with pytest.raises(ValueError):
+        solve_ci_max(zero_axis)
 
 
 def test_analytic_single_user_inner():
     # single antenna, unit channel, inner point: both axes pinned to the
     # margin force x = t*s, and ||x|| = 1 gives t = 1/|s| = sqrt(5)
-    inst = build_instance(np.array([[1.0 + 0j]]), [(1 + 1j) / np.sqrt(10)], SPEC16)
+    inst = build_instance(ChannelRealization(np.array([[1.0 + 0j]])), [(1 + 1j) / np.sqrt(10)], SPEC16)
     sol = solve_ci_max(inst)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.margin == pytest.approx(np.sqrt(5), abs=1e-9)
@@ -78,7 +90,7 @@ def test_analytic_single_user_inner():
 
 def test_analytic_single_user_corner():
     # corner point: symmetric max-min over the ball, t = sqrt(5)/3
-    inst = build_instance(np.array([[1.0 + 0j]]), [(3 + 3j) / np.sqrt(10)], SPEC16)
+    inst = build_instance(ChannelRealization(np.array([[1.0 + 0j]])), [(3 + 3j) / np.sqrt(10)], SPEC16)
     sol = solve_ci_max(inst)
     assert sol.margin == pytest.approx(np.sqrt(5) / 3, abs=1e-9)
     np.testing.assert_allclose(sol.x, [(1 + 1j) / np.sqrt(2)], atol=1e-9)
@@ -124,7 +136,7 @@ _INNER, _CORNER = (1 + 1j) / np.sqrt(10), (3 + 3j) / np.sqrt(10)
 def test_rank_deficient_channels(H, symbols, margin):
     # two users behind one channel row: the margin exists only when both
     # users' constraints can be met by the same receive sample
-    inst = build_instance(H, symbols, SPEC16)
+    inst = build_instance(ChannelRealization(H), symbols, SPEC16)
     sol = solve_ci_max(inst)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.margin == pytest.approx(margin, abs=1e-6)
@@ -141,6 +153,10 @@ def test_unit_norm_and_positive_margin():
         assert sol.margin > 0
         assert np.linalg.norm(sol.x) == pytest.approx(1.0, abs=1e-6)
         assert verify_solution(inst, sol).passed
+        # the scale factors are the receive samples over the symbols, per axis
+        y = inst.channel.H @ sol.x
+        expected = np.column_stack([y.real / inst.symbols.real, y.imag / inst.symbols.imag])
+        np.testing.assert_allclose(sol.alphas, expected.reshape(-1), rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,28 +190,6 @@ def test_relaxing_inner_to_outer_never_hurts(seed):
     assert solve_ci_max(relaxed).margin >= solve_ci_max(inst).margin - 1e-9
 
 
-def test_compute_alphas_perfect_restoration():
-    H = generate_channel(2, 2, trial_rng(5))
-    s = SPEC16.points[[3, 9]]
-    x = np.linalg.solve(H.H, s)
-    a_re, a_im = compute_alphas(H, x, s)
-    np.testing.assert_allclose(a_re, 1.0, atol=1e-10)
-    np.testing.assert_allclose(a_im, 1.0, atol=1e-10)
-
-    a_re0, a_im0 = compute_alphas(H, np.zeros(2, dtype=complex), s)
-    assert np.all(a_re0 == 0) and np.all(a_im0 == 0)
-
-    a_re3, a_im3 = compute_alphas(H, 3.0 * x, s)
-    np.testing.assert_allclose(a_re3, 3 * a_re, atol=1e-10)
-    np.testing.assert_allclose(a_im3, 3 * a_im, atol=1e-10)
-
-
-def test_compute_alphas_rejects_axis_zero_symbol():
-    H = generate_channel(1, 1, trial_rng(6))
-    with pytest.raises(ValueError):
-        compute_alphas(H, np.ones(1, dtype=complex), [1.0 + 0j])
-
-
 def test_verify_detects_perturbation():
     inst = random_instance(21)
     sol = solve_ci_max(inst)
@@ -204,8 +198,7 @@ def test_verify_detects_perturbation():
     bumped = SlpSolution(
         x=sol.x + 1e-3 * rng.standard_normal(sol.x.shape),
         margin=sol.margin,
-        alpha_re=sol.alpha_re,
-        alpha_im=sol.alpha_im,
+        alphas=sol.alphas,
         status=sol.status,
     )
     report = verify_solution(inst, bumped)
@@ -218,8 +211,7 @@ def test_verify_degenerate_zero_point():
     zero = SlpSolution(
         x=np.zeros(2, dtype=complex),
         margin=0.0,
-        alpha_re=np.zeros(2),
-        alpha_im=np.zeros(2),
+        alphas=np.zeros(4),
         status=SolverStatus.OPTIMAL,
     )
     report = verify_solution(inst, zero)
