@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,14 @@ class ChannelRealization:
     @property
     def n_antennas(self) -> int:
         return self.H.shape[1]
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """Real (2K, 2N_T) form of H, built once: row 2k maps w = [Re x; Im x]
+        to Re(h_k x) and row 2k+1 to Im(h_k x)."""
+        re_h, im_h = self.H.real, self.H.imag
+        blocks = np.stack([np.hstack([re_h, -im_h]), np.hstack([im_h, re_h])], axis=1)
+        return blocks.reshape(2 * self.n_users, 2 * self.n_antennas)
 
 
 def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:

@@ -227,30 +227,32 @@ class SuiteResult:
 
 
 def check_slp_solutions(rng, n_samples: int = 40, users: int = 4, antennas: int = 4,
-                        modulation: int = 16) -> SuiteResult:
-    """Solve random instances; check their status, constraints and duality gaps."""
+                        modulation: int = 16, block_len: int = 1) -> SuiteResult:
+    """Solve n_samples symbol vectors, drawn and solved as the sweep does, in whole blocks
+    of block_len; check each solve's status, constraints and duality gap."""
+    if n_samples % block_len:
+        raise ValueError(f"{n_samples} samples do not fill whole blocks of {block_len}")
     spec = build_constellation(modulation)
     worst = 0.0
     worst_gap = 0.0
     min_margin = np.inf
     non_optimal = 0
-    for _ in range(n_samples):
+    for _ in range(n_samples // block_len):
         channel = generate_channel(users, antennas, rng)
-        labels = rng.integers(0, modulation, users)
-        symbols = spec.points[labels]
-        inst = slp_core.build_instance(channel, symbols, spec)
-        sol = slp_core.solve_ci_max(inst)
-        non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
-        report = slp_core.verify_solution(inst, sol, tol=1e-6)
-        worst = max(worst, report.coupling, report.inner, report.outer,
-                    report.ball, report.norm_dev)
-        worst_gap = max(worst_gap, sol.residuals.get("duality_gap", np.inf))
-        min_margin = min(min_margin, sol.margin)
+        symbols = spec.points[rng.integers(0, modulation, (users, block_len))]
+        for inst, sol in slp_core.solve_block(channel, symbols, spec):
+            non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
+            report = slp_core.verify_solution(inst, sol, tol=1e-6)
+            worst = max(worst, report.coupling, report.inner, report.outer,
+                        report.ball, report.norm_dev)
+            worst_gap = max(worst_gap, sol.residuals.get("duality_gap", np.inf))
+            min_margin = min(min_margin, sol.margin)
     passed = non_optimal == 0 and worst <= 1e-6 and min_margin > 0
     return SuiteResult(
         name="slp-solver",
         passed=passed,
         detail=(
+            f"{n_samples // block_len} blocks of {block_len}: "
             f"{non_optimal} non-optimal solves, worst residual {worst:.2e}, "
             f"worst duality gap {worst_gap:.2e}, smallest margin {min_margin:.3f}"
         ),
@@ -275,18 +277,18 @@ def check_quantization(rng, n_samples: int = 100_000, feedback_bits: int = 5,
 
 
 def run_verification(cfg: LinkConfig | None = None, seed: int = 0) -> list:
-    """Run all verification suites; library invariants when no config is given."""
-    users, antennas, modulation = 4, 4, 16
-    if cfg is not None:
-        users, antennas, modulation = cfg.users, cfg.antennas, cfg.modulation
-    results = [
+    """Run all verification suites on the configured system (default: LinkConfig())."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    cfg = cfg or LinkConfig()
+    return [
         check_slp_solutions(
-            np.random.default_rng(seed + 1), users=users, antennas=antennas,
-            modulation=modulation,
+            np.random.default_rng(seed + 1), n_samples=2 * cfg.block_len,  # two blocks
+            users=cfg.users, antennas=cfg.antennas, modulation=cfg.modulation,
+            block_len=cfg.block_len,
         ),
         check_quantization(np.random.default_rng(seed + 2)),
     ]
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 
 WORKERS_ENV = "SLPSIM_WORKERS"
 MAX_WORKERS = 64
+MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
 
 # Floor applied to a quantized rescaling factor: the additive Gaussian error
 # model permits nonpositive values, which are physically meaningless.
@@ -107,12 +108,11 @@ class LinkConfig:
         # inf (zero noise) is allowed; nan and -inf have no noise variance
         if not all(v > -math.inf for v in self.snr_db):
             raise ConfigurationError(f"snr_db values must be finite or inf, got {self.snr_db}")
-        if self.feedback_bits < 1:
-            raise ConfigurationError(f"feedback_bits must be >= 1, got {self.feedback_bits}")
-        if self.f_max <= 0:
-            raise ConfigurationError(f"f_max must be > 0, got {self.f_max}")
-        if self.total_power <= 0:
-            raise ConfigurationError(f"total_power must be > 0, got {self.total_power}")
+        if not 1 <= self.feedback_bits <= MAX_FEEDBACK_BITS:
+            raise ConfigurationError(f"feedback_bits must be in 1..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
+        for key in ("f_max", "total_power"):
+            if not 0 < getattr(self, key) < math.inf:  # also rejects nan
+                raise ConfigurationError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if self.channels < 0:
             raise ConfigurationError(f"channels must be >= 0, got {self.channels}")
         if self.seed < 0:
@@ -206,9 +206,7 @@ def _slp_transmit(cfg: LinkConfig, channel, symbols, spec):
     n_tx, M = channel.n_antennas, cfg.block_len
     X = np.empty((n_tx, M), dtype=complex)
     margins = np.empty(M)
-    for m in range(M):
-        inst = slp_core.build_instance(channel, symbols[:, m], spec)
-        sol = slp_core.solve_ci_max(inst)
+    for m, (_, sol) in enumerate(slp_core.solve_block(channel, symbols, spec)):
         if sol.status is not slp_core.SolverStatus.OPTIMAL:
             raise SolverFailure(f"CI solve not optimal at symbol {m}: {sol.residuals}")
         X[:, m] = sol.x

@@ -12,10 +12,16 @@ region) or *outer* (its scale factor may exceed t, pushing the sample deeper
 into the region). The precoder maximizes t subject to those constraints and
 ||x||_2 <= 1.
 
+An instance stores its outer components as one interleaved (2K,) boolean
+mask (user k's real axis at 2k, imaginary at 2k+1); a block is classified in
+one call and each symbol duration takes its row of the block's masks.
+
 Solution method: each scale factor is a fixed linear functional of the
-stacked real vector w = [Re x; Im x], so the 2K coupling rows G map w to the
-2K scale factors (alphas = G w). For t > 0 the substitution w -> w / t turns
-the problem into the strictly convex least-distance program
+stacked real vector w = [Re x; Im x]. The channel's real form
+(ChannelRealization.stacked, built once per block) maps w to the interleaved
+Re/Im receive samples; dividing its rows by the interleaved symbol components
+gives the 2K coupling rows G, with alphas = G w. For t > 0 the substitution
+w -> w / t turns the problem into the strictly convex least-distance program
 
     minimize ||w||  s.t.  G_inner w = 1,  G_outer w >= 1,
 
@@ -36,6 +42,7 @@ status is verify_solution's verdict on them plus the norm and gap tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,7 +52,7 @@ from scipy.optimize import nnls
 from .channel import ChannelRealization
 from .constellation import ConstellationSpec, classify_component
 
-_RE, _IM = "re", "im"
+_AXES = ("re", "im")
 
 
 class SolverStatus(Enum):
@@ -71,9 +78,25 @@ class CiInstance:
     """One symbol duration's CI problem: channel, symbols, component split."""
 
     channel: ChannelRealization
-    symbols: np.ndarray
-    inner_index_set: tuple[tuple[int, str], ...]
-    outer_index_set: tuple[tuple[int, str], ...]
+    symbols: np.ndarray        # (K,) complex
+    outer: np.ndarray          # (2K,) bool, interleaved as SlpSolution.alphas
+
+    def __post_init__(self):
+        if np.shape(self.outer) != (2 * self.channel.n_users,):
+            raise ValueError(f"outer mask needs 2K entries, got shape {np.shape(self.outer)}")
+
+    @property
+    def inner_index_set(self) -> tuple[tuple[int, str], ...]:
+        return _index_set(~self.outer)
+
+    @property
+    def outer_index_set(self) -> tuple[tuple[int, str], ...]:
+        return _index_set(self.outer)
+
+
+def _index_set(mask: np.ndarray) -> tuple[tuple[int, str], ...]:
+    """(k, "re"|"im") pairs of a component mask, k ascending, re before im."""
+    return tuple([(i // 2, _AXES[i % 2]) for i in np.flatnonzero(mask).tolist()])
 
 
 @dataclass
@@ -102,45 +125,24 @@ class ResidualReport:
     passed: bool
 
 
-def build_instance(channel: ChannelRealization, symbols, spec: ConstellationSpec) -> CiInstance:
-    """Split the 2K (user, axis) components of a symbol vector into inner/outer sets."""
-    symbols = np.asarray(symbols, dtype=complex).reshape(-1)
-    if symbols.size != channel.n_users:
-        raise ValueError(
-            f"expected {channel.n_users} symbols, got {symbols.size}"
-        )
+def _outer_masks(spec: ConstellationSpec, symbols: np.ndarray) -> np.ndarray:
+    """Interleaved outer masks: (..., K) symbol vectors give (..., 2K) flags."""
     re_outer, im_outer = classify_component(spec, symbols)
-    inner, outer = [], []
-    for k, flags in enumerate(zip(re_outer.tolist(), im_outer.tolist())):
-        for axis, is_outer in zip((_RE, _IM), flags):
-            (outer if is_outer else inner).append((k, axis))
-    return CiInstance(
-        channel=channel,
-        symbols=symbols,
-        inner_index_set=tuple(inner),
-        outer_index_set=tuple(outer),
-    )
+    return np.stack([re_outer, im_outer], axis=-1).reshape(*symbols.shape[:-1], -1)
 
 
-def _coupling_rows(H: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Rows mapping w = [Re x; Im x] to the 2K per-axis scale factors.
-
-    Row 2k is the real-axis factor of user k, row 2k+1 the imaginary-axis one.
-    """
-    if np.any(symbols.real == 0) or np.any(symbols.imag == 0):
-        raise ValueError("symbols must have nonzero real and imaginary parts")
-    n_users, n_tx = H.shape
-    rows = np.empty((2 * n_users, 2 * n_tx))
-    re_h, im_h = H.real, H.imag
-    rows[0::2, :n_tx] = re_h / symbols.real[:, None]
-    rows[0::2, n_tx:] = -im_h / symbols.real[:, None]
-    rows[1::2, :n_tx] = im_h / symbols.imag[:, None]
-    rows[1::2, n_tx:] = re_h / symbols.imag[:, None]
-    return rows
+def build_instance(channel: ChannelRealization, symbols, spec: ConstellationSpec) -> CiInstance:
+    """Split the 2K (user, axis) components of a symbol vector into inner/outer."""
+    symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
+    return CiInstance(channel, symbols, _outer_masks(spec, symbols))
 
 
-def _row_ids(index_set) -> np.ndarray:
-    return np.array([2 * k + (0 if axis == _RE else 1) for k, axis in index_set], dtype=int)
+def solve_block(channel: ChannelRealization, symbols, spec: ConstellationSpec):
+    """Yield (instance, solution) per symbol duration of a (K, M) block, classified at once."""
+    vectors = np.ascontiguousarray(np.transpose(symbols), dtype=complex)
+    for vector, outer in zip(vectors, _outer_masks(spec, vectors)):
+        instance = CiInstance(channel, vector, outer)
+        yield instance, solve_ci_max(instance)
 
 
 def _zero_solution(instance: CiInstance, status: SolverStatus, residuals) -> SlpSolution:
@@ -162,22 +164,21 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     returned with OPTIMAL status, and power allocation will reject it.
     """
     opts = opts or SolverOptions()
-    H = instance.channel.H
-    rows = _coupling_rows(H, instance.symbols)
-    inner_ids = _row_ids(instance.inner_index_set)
-    if inner_ids.size + len(instance.outer_index_set) != rows.shape[0]:
-        raise ValueError("inner/outer sets must partition the 2K components")
+    # Coupling rows: the stacked channel over the interleaved symbol components.
+    components = np.ascontiguousarray(instance.symbols, dtype=complex).view(float)
+    if not components.all():
+        raise ValueError("symbols must have nonzero real and imaginary parts")
+    rows = instance.channel.stacked / components[:, None]
+    inner = ~instance.outer
 
     # Row scaling for conditioning; the scaled system keeps the same geometry.
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0):
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if not norms.all():
         return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
     # Least-distance form G w >= h: every row, then each inner row negated.
-    n_rows = rows.shape[0]
-    ids = np.concatenate([np.arange(n_rows), inner_ids])
-    sign = np.concatenate([np.ones(n_rows), -np.ones(inner_ids.size)])
-    G = sign[:, None] * rows[ids] / norms[ids, None]
-    h = sign / norms[ids]
+    scaled = rows / norms[:, None]
+    G = np.concatenate([scaled, -scaled[inner]])
+    h = np.concatenate([1.0 / norms, -1.0 / norms[inner]])
 
     # Lawson-Hanson: NNLS on E = [G^T; h^T] against the last unit vector.
     E = np.vstack([G.T, h])
@@ -192,20 +193,22 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
         return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
     w = -r[:-1] / r[-1]
 
-    margin = 1.0 / float(np.linalg.norm(w))
+    margin = 1.0 / math.sqrt(w @ w)
     stacked = w * margin
-    n_tx = H.shape[1]
+    n_tx = instance.channel.n_antennas
     x = stacked[:n_tx] + 1j * stacked[n_tx:]
     sol = SlpSolution(x=x, margin=margin, alphas=rows @ stacked, status=SolverStatus.OPTIMAL)
 
     # The same u holds the multipliers of G w >= h; folded back onto the 2K
     # unscaled rows they bound every margin by ||rows^T nu|| / sum(nu).
+    n_rows = rows.shape[0]
     mu = u / -r[-1]
     nu = mu[:n_rows].copy()
-    nu[inner_ids] -= mu[n_rows:]
+    nu[inner] -= mu[n_rows:]
     nu /= norms
-    mass = float(nu.sum())
-    gap = max(float(np.linalg.norm(rows.T @ nu)) / mass - margin, 0.0) if mass > 0 else np.inf
+    mass = float(np.add.reduce(nu))
+    bound = rows.T @ nu
+    gap = max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf
 
     scale = max(1.0, margin)
     report = verify_solution(instance, sol, tol=opts.feas_tol * scale)
@@ -225,14 +228,14 @@ def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -
     y = instance.channel.H @ sol.x
     alphas = sol.alphas
     target = alphas[0::2] * instance.symbols.real + 1j * alphas[1::2] * instance.symbols.imag
-    coupling = float(np.max(np.abs(y - target))) if y.size else 0.0
+    coupling = float(np.abs(y - target).max()) if y.size else 0.0
 
-    inner_ids = _row_ids(instance.inner_index_set)
-    outer_ids = _row_ids(instance.outer_index_set)
-    inner = float(np.max(np.abs(alphas[inner_ids] - sol.margin))) if inner_ids.size else 0.0
-    outer = float(np.max(np.maximum(sol.margin - alphas[outer_ids], 0.0))) if outer_ids.size else 0.0
+    inner_alphas = alphas[~instance.outer]
+    outer_alphas = alphas[instance.outer]
+    inner = float(np.abs(inner_alphas - sol.margin).max()) if inner_alphas.size else 0.0
+    outer = float(np.maximum(sol.margin - outer_alphas, 0.0).max()) if outer_alphas.size else 0.0
 
-    x_norm = float(np.linalg.norm(sol.x))
+    x_norm = math.sqrt(sol.x.real @ sol.x.real + sol.x.imag @ sol.x.imag)
     ball = max(x_norm**2 - 1.0, 0.0)
     norm_dev = abs(x_norm - 1.0)
     passed = max(coupling, inner, outer, ball) <= tol

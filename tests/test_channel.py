@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slpsim.channel import (
     ChannelRealization,
@@ -21,6 +23,21 @@ def test_different_subkeys_differ():
     H1 = generate_channel(2, 2, trial_rng(42, 0, 0)).H
     H2 = generate_channel(2, 2, trial_rng(42, 0, 1)).H
     assert not np.allclose(H1, H2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), users=st.integers(1, 5), extra_antennas=st.integers(0, 3))
+def test_stacked_form_maps_stacked_vectors_like_h(seed, users, extra_antennas):
+    rng = trial_rng(seed)
+    channel = generate_channel(users, users + extra_antennas, rng)
+    x = rng.standard_normal(channel.n_antennas) + 1j * rng.standard_normal(channel.n_antennas)
+    y = channel.H @ x
+    np.testing.assert_allclose(
+        channel.stacked @ np.concatenate([x.real, x.imag]),
+        np.column_stack([y.real, y.imag]).reshape(-1),  # Re/Im of user k at 2k, 2k+1
+        rtol=1e-12, atol=1e-12,
+    )
+    assert channel.stacked is channel.stacked  # built once per realization
 
 
 def test_overloaded_system_rejected():

@@ -120,10 +120,45 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         assert bad[0].lstrip("-") in capsys.readouterr().err.lower()
     assert main([]) == 1
     assert main(["verify", "--seed", "x"]) == 1
+    assert main(["verify", "--seed", "-5"]) == 1
+    assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     with pytest.raises(SystemExit) as help_exit:
         main(["run", "--help"])
     assert help_exit.value.code == 0
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("f_max = nan", []), ("f_max = inf", []), ("total_power = nan", []),
+    ("total_power = inf", []), ("", ["--bits-feedback", "2000"]),
+])
+def test_cli_non_finite_power_or_huge_feedback_exits_1(tmp_path, capsys, line, flags):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--config", str(cfg_file), "--channels", "3", "--snr-db", "30",
+               "--scheme", "SLP_IN_BLOCK,ZF", *flags, "--out", str(out)])
+    assert rc == 1
+    assert (line.split(" ")[0] or "feedback_bits") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_solver_suite_solves_whole_blocks_through_the_block_path(monkeypatch):
+    calls = []
+    original = slp_core.classify_component
+
+    def counting(spec, points):
+        calls.append(np.shape(points))
+        return original(spec, points)
+
+    monkeypatch.setattr(slp_core, "classify_component", counting)
+    result = check_slp_solutions(np.random.default_rng(0), n_samples=3 * 7, users=3,
+                                 antennas=5, modulation=64, block_len=7)
+    assert result.passed, result.detail
+    assert calls == [(7, 3)] * 3  # one classification per block of 7 symbol vectors
+    assert result.detail.startswith("3 blocks of 7: 0 non-optimal solves")
+    with pytest.raises(ValueError, match="whole blocks"):
+        check_slp_solutions(np.random.default_rng(0), n_samples=10, block_len=7)
 
 
 def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):

@@ -35,6 +35,15 @@ def test_config_validation():
         make_cfg(feedback_bits=0)
     with pytest.raises(ConfigurationError):
         make_cfg(f_max=0.0)
+    # non-finite power keys and a B whose 2**B overflows a float
+    for key in ("f_max", "total_power"):
+        for value in (float("nan"), INF, -INF, 0.0):
+            with pytest.raises(ConfigurationError, match=key):
+                make_cfg(**{key: value})
+    for bits in (1024, 2000):
+        with pytest.raises(ConfigurationError, match="feedback_bits"):
+            make_cfg(feedback_bits=bits)
+    assert make_cfg(feedback_bits=link_sim.MAX_FEEDBACK_BITS).feedback_bits == 1023
     with pytest.raises(ConfigurationError, match="seed"):
         make_cfg(seed=-1)
     with pytest.raises(ConfigurationError, match="empty"):

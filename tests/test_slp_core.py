@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from slpsim.channel import ChannelRealization, generate_channel, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
+from slpsim.link_sim import LinkConfig, _slp_transmit
 from slpsim.slp_core import (
     CiInstance,
     SlpSolution,
@@ -71,11 +72,53 @@ def test_build_instance_rejects_foreign_symbol():
     zero_axis = CiInstance(
         channel=H,
         symbols=np.array([1.0 + 0j]),
-        inner_index_set=((0, "re"), (0, "im")),
-        outer_index_set=(),
+        outer=np.array([False, False]),
     )
     with pytest.raises(ValueError):
         solve_ci_max(zero_axis)
+
+
+@pytest.mark.parametrize(
+    "order, users, antennas",
+    [(4, 4, 4), (16, 4, 4), (64, 4, 4), (256, 4, 4), (16, 3, 6)],
+    ids=["4qam", "16qam", "64qam", "256qam", "16qam-K<N_T"],
+)
+def test_block_path_matches_one_vector_path(order, users, antennas):
+    # one classification per block must give the very same solves as one per vector
+    spec = build_constellation(order)
+    cfg = LinkConfig(users=users, antennas=antennas, block_len=30, modulation=order)
+    rng = trial_rng(order, users, antennas)
+    channel = generate_channel(users, antennas, rng)
+    symbols = spec.points[rng.integers(0, order, (users, cfg.block_len))]
+    X, margins = _slp_transmit(cfg, channel, symbols, spec)
+    one = [solve_ci_max(build_instance(channel, symbols[:, m], spec)) for m in range(cfg.block_len)]
+    assert np.array_equal(X, np.column_stack([sol.x for sol in one]))
+    assert np.array_equal(margins, [sol.margin for sol in one])
+
+
+def test_index_sets_follow_the_classification():
+    spec = build_constellation(64)
+    rng = trial_rng(5)
+    channel = generate_channel(6, 6, rng)
+    symbols = spec.points[rng.integers(0, 64, 6)]
+    inst = build_instance(channel, symbols, spec)
+    re_outer, im_outer = classify_component(spec, symbols)
+    expected = {True: [], False: []}
+    for k in range(6):
+        expected[bool(re_outer[k])].append((k, "re"))
+        expected[bool(im_outer[k])].append((k, "im"))
+    assert expected[True] and expected[False]
+    assert inst.outer_index_set == tuple(expected[True])
+    assert inst.inner_index_set == tuple(expected[False])
+
+
+def test_instance_mask_must_cover_the_2k_components():
+    channel = generate_channel(2, 2, trial_rng(6))
+    for outer in (np.zeros(3, bool), np.zeros(5, bool), np.zeros((2, 2), bool)):
+        with pytest.raises(ValueError, match="2K"):
+            CiInstance(channel=channel, symbols=SPEC16.points[:2], outer=outer)
+    with pytest.raises(ValueError, match="2K"):  # symbol count and channel disagree
+        build_instance(channel, SPEC16.points[:3], SPEC16)
 
 
 def test_analytic_single_user_inner():
@@ -166,8 +209,7 @@ def test_scale_equivariance(seed, scale):
     scaled = CiInstance(
         channel=type(inst.channel)(inst.channel.H * scale),
         symbols=inst.symbols,
-        inner_index_set=inst.inner_index_set,
-        outer_index_set=inst.outer_index_set,
+        outer=inst.outer,
     )
     sol = solve_ci_max(inst)
     sol_scaled = solve_ci_max(scaled)
@@ -181,11 +223,12 @@ def test_relaxing_inner_to_outer_never_hurts(seed):
     inst = random_instance(seed, users=3, antennas=3)
     if not inst.inner_index_set:
         return
+    outer = inst.outer.copy()
+    outer[np.flatnonzero(~outer)[0]] = True  # the first inner component
     relaxed = CiInstance(
         channel=inst.channel,
         symbols=inst.symbols,
-        inner_index_set=inst.inner_index_set[1:],
-        outer_index_set=inst.outer_index_set + inst.inner_index_set[:1],
+        outer=outer,
     )
     assert solve_ci_max(relaxed).margin >= solve_ci_max(inst).margin - 1e-9
 
