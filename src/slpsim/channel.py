@@ -50,12 +50,8 @@ class ChannelRealization:
 
 def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw an i.i.d. CN(0, 1) flat-fading channel, deterministic under the rng seed."""
-    if n_users < 1:
+    if n_users < 1:  # ChannelRealization checks K <= N_T but passes a 0 x N_T matrix
         raise ConfigurationError(f"need at least one user, got {n_users}")
-    if n_users > n_antennas:
-        raise ConfigurationError(
-            f"need K <= N_T for symbol-level precoding, got K={n_users}, N_T={n_antennas}"
-        )
     H = (
         rng.standard_normal((n_users, n_antennas))
         + 1j * rng.standard_normal((n_users, n_antennas))

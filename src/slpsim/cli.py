@@ -20,7 +20,7 @@ from . import slp_core
 from .channel import generate_channel
 from .constellation import build_constellation
 from .errors import ConfigurationError
-from .link_sim import BlockResult, Experiment, LinkConfig, quantize_broadcast, run_monte_carlo
+from .link_sim import BlockResult, Experiment, LinkConfig, run_monte_carlo
 
 # Column orders are part of the output contract; never reorder.
 SWEEP_COLUMNS = [
@@ -116,6 +116,8 @@ def _read_config_file(path) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = _parse_field(key, value.strip(), f"{path}:{lineno}")
     return values
 
@@ -226,69 +228,42 @@ class SuiteResult:
     detail: str
 
 
-def check_slp_solutions(rng, n_samples: int = 40, users: int = 4, antennas: int = 4,
-                        modulation: int = 16, block_len: int = 1) -> SuiteResult:
-    """Solve n_samples symbol vectors, drawn and solved as the sweep does, in whole blocks
-    of block_len; check each solve's status, constraints and duality gap."""
-    if n_samples % block_len:
-        raise ValueError(f"{n_samples} samples do not fill whole blocks of {block_len}")
-    spec = build_constellation(modulation)
+def check_slp_solutions(cfg: LinkConfig, rng) -> SuiteResult:
+    """Solve two blocks of the configured system, drawn and solved as the sweep does;
+    check each solve's status, constraints and duality gap."""
+    n_blocks = 2
+    spec = build_constellation(cfg.modulation)
     worst = 0.0
     worst_gap = 0.0
     min_margin = np.inf
     non_optimal = 0
-    for _ in range(n_samples // block_len):
-        channel = generate_channel(users, antennas, rng)
-        symbols = spec.points[rng.integers(0, modulation, (users, block_len))]
+    for _ in range(n_blocks):
+        channel = generate_channel(cfg.users, cfg.antennas, rng)
+        symbols = spec.points[rng.integers(0, cfg.modulation, (cfg.users, cfg.block_len))]
         for inst, sol in slp_core.solve_block(channel, symbols, spec):
             non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
             report = slp_core.verify_solution(inst, sol, tol=1e-6)
             worst = max(worst, report.coupling, report.inner, report.outer,
                         report.ball, report.norm_dev)
-            worst_gap = max(worst_gap, sol.residuals.get("duality_gap", np.inf))
+            worst_gap = max(worst_gap, sol.gap)
             min_margin = min(min_margin, sol.margin)
     passed = non_optimal == 0 and worst <= 1e-6 and min_margin > 0
     return SuiteResult(
         name="slp-solver",
         passed=passed,
         detail=(
-            f"{n_samples // block_len} blocks of {block_len}: "
+            f"{n_blocks} blocks of {cfg.block_len}: "
             f"{non_optimal} non-optimal solves, worst residual {worst:.2e}, "
             f"worst duality gap {worst_gap:.2e}, smallest margin {min_margin:.3f}"
         ),
     )
 
 
-def check_quantization(rng, n_samples: int = 100_000, feedback_bits: int = 5,
-                       f_max: float = 1.0) -> SuiteResult:
-    """Empirical broadcast-error variance against f_max / 2^B (within 3%)."""
-    f_nominal = 10.0
-    draws = np.array([
-        quantize_broadcast(f_nominal, feedback_bits, f_max, rng) for _ in range(n_samples)
-    ])
-    measured = float(np.var(draws - f_nominal))
-    expected = f_max / 2.0**feedback_bits
-    rel = abs(measured - expected) / expected
-    return SuiteResult(
-        name="quantization",
-        passed=rel <= 0.03,
-        detail=f"variance {measured:.5f} vs expected {expected:.5f} (rel dev {rel:.2%})",
-    )
-
-
 def run_verification(cfg: LinkConfig | None = None, seed: int = 0) -> list:
-    """Run all verification suites on the configured system (default: LinkConfig())."""
+    """Run the verification suites on the configured system (default: LinkConfig())."""
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    cfg = cfg or LinkConfig()
-    return [
-        check_slp_solutions(
-            np.random.default_rng(seed + 1), n_samples=2 * cfg.block_len,  # two blocks
-            users=cfg.users, antennas=cfg.antennas, modulation=cfg.modulation,
-            block_len=cfg.block_len,
-        ),
-        check_quantization(np.random.default_rng(seed + 2)),
-    ]
+    return [check_slp_solutions(cfg or LinkConfig(), np.random.default_rng(seed + 1))]
 
 
 # ---------------------------------------------------------------------------

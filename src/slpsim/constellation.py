@@ -36,7 +36,6 @@ class ConstellationSpec:
     bits_per_symbol: int
     levels: np.ndarray        # ascending per-axis amplitude levels, unit-energy scale
     points: np.ndarray        # (order,) complex, indexed by bit label
-    max_level: float
 
     @property
     def bits_per_axis(self) -> int:
@@ -77,7 +76,6 @@ def build_constellation(order: int) -> ConstellationSpec:
         bits_per_symbol=bits_per_symbol,
         levels=levels,
         points=points,
-        max_level=float(levels[-1]),
     )
 
 
@@ -86,15 +84,18 @@ def classify_component(spec: ConstellationSpec, points) -> tuple[np.ndarray, np.
 
     Returns ``(re_outer, im_outer)``, boolean arrays shaped like ``points``.
     Raises ValueError if any point is not (within 1e-9) a constellation point.
+    Each point is sliced per axis to its nearest grid point, the only one it
+    can be within 1e-9 of; an axis is outer at the first or last level.
     """
     points = np.asarray(points, dtype=complex)
-    flat = points.reshape(-1)
-    member = np.abs(flat[:, None] - spec.points).min(axis=1) <= _POINT_ATOL
+    i_re = _slice_axis(spec.levels, points.real)
+    i_im = _slice_axis(spec.levels, points.imag)
+    member = np.abs(points - (spec.levels[i_re] + 1j * spec.levels[i_im])) <= _POINT_ATOL
     if not member.all():
-        foreign = complex(flat[~member][0])
+        foreign = complex(points[~member][0])
         raise ValueError(f"{foreign!r} is not a point of the {spec.order}-QAM constellation")
-    edge = spec.max_level - _POINT_ATOL
-    return np.abs(points.real) >= edge, np.abs(points.imag) >= edge
+    last = spec.levels.size - 1
+    return (i_re == 0) | (i_re == last), (i_im == 0) | (i_im == last)
 
 
 def modulate(spec: ConstellationSpec, bits) -> np.ndarray:
@@ -128,13 +129,13 @@ def _slice_axis(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
 def demodulate(spec: ConstellationSpec, r):
     """Hard nearest-neighbor demodulation (per-axis slicing, saturating).
 
-    Accepts a scalar or an array of complex samples and returns
-    ``(points, bits)`` where ``bits`` has a trailing axis of length
+    Takes an array of complex samples and returns ``(points, bits)``:
+    ``points`` shaped like ``r``, and ``bits`` with a trailing axis of length
     log2(order).
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=complex))
-    i_re = _slice_axis(spec.levels, r_arr.real)
-    i_im = _slice_axis(spec.levels, r_arr.imag)
+    r = np.asarray(r, dtype=complex)
+    i_re = _slice_axis(spec.levels, r.real)
+    i_im = _slice_axis(spec.levels, r.imag)
     points = spec.levels[i_re] + 1j * spec.levels[i_im]
 
     b = spec.bits_per_axis
@@ -142,7 +143,4 @@ def demodulate(spec: ConstellationSpec, r):
     bps = spec.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
     bits = (labels[..., None] >> shifts) & 1
-
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return complex(points[0]), bits[0]
     return points, bits

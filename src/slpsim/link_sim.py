@@ -103,16 +103,25 @@ class LinkConfig:
             raise ConfigurationError(
                 f"unknown scheme in {self.schemes!r}; valid: {[s.value for s in Scheme]}"
             ) from exc
-        if not self.snr_db:
-            raise ConfigurationError("snr_db grid is empty")
-        # inf (zero noise) is allowed; nan and -inf have no noise variance
-        if not all(v > -math.inf for v in self.snr_db):
-            raise ConfigurationError(f"snr_db values must be finite or inf, got {self.snr_db}")
         if not 1 <= self.feedback_bits <= MAX_FEEDBACK_BITS:
             raise ConfigurationError(f"feedback_bits must be in 1..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
         for key in ("f_max", "total_power"):
             if not 0 < getattr(self, key) < math.inf:  # also rejects nan
                 raise ConfigurationError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if not self.snr_db:
+            raise ConfigurationError("snr_db grid is empty")
+        # inf is zero noise; any other value needs a finite noise variance > 0,
+        # which nan, -inf and finite values far enough out do not give
+        for v in self.snr_db:
+            try:
+                sigma2 = sigma2_from_snr(v, self.block_len, self.total_power)
+            except (OverflowError, ZeroDivisionError):
+                sigma2 = math.nan
+            if v != math.inf and not 0 < sigma2 < math.inf:
+                raise ConfigurationError(
+                    f"snr_db value {v} gives no finite noise variance > 0 at "
+                    f"block_len={self.block_len}, total_power={self.total_power}"
+                )
         if self.channels < 0:
             raise ConfigurationError(f"channels must be >= 0, got {self.channels}")
         if self.seed < 0:
@@ -129,9 +138,7 @@ class LinkConfig:
 class BlockResult:
     """Per-trial outcome of one transmitted block."""
 
-    n_bits: int
     n_bit_errors: int
-    n_user_blocks: int
     n_user_block_errors: int
     f_ideal: np.ndarray           # pre-quantization rescaling factor per symbol
     tx_power: float               # sum_m p_m * ||x_m||^2 actually spent
@@ -165,19 +172,21 @@ class MetricsRecord:
     n_failed: int
 
 
-def quantize_broadcast(f: float, feedback_bits: int, f_max: float, rng: np.random.Generator) -> float:
-    """Rescaling factor as received after B-bit broadcast.
+def quantize_broadcast(f: np.ndarray, feedback_bits: int, f_max: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Rescaling factors as received after B-bit broadcast, one per entry of ``f``.
 
     The limited feed-forward link adds zero-mean Gaussian error with variance
-    f_max / 2^B. The result is floored at a tiny positive value since a
-    nonpositive rescaling factor is meaningless.
+    f_max / 2^B, drawn for all entries at once. The results are floored at a
+    tiny positive value since a nonpositive rescaling factor is meaningless.
     """
     variance = f_max / 2.0**feedback_bits
-    f_hat = f + rng.normal(0.0, np.sqrt(variance))
-    if f_hat < F_FLOOR:
-        log.debug("quantized rescaling factor clamped: %.3e -> %.1e", f_hat, F_FLOOR)
-        return F_FLOOR
-    return float(f_hat)
+    f_hat = f + rng.normal(0.0, np.sqrt(variance), size=np.shape(f))
+    clamped = f_hat < F_FLOOR
+    if clamped.any():
+        log.debug("%d quantized rescaling factors clamped to %.1e", clamped.sum(), F_FLOOR)
+        f_hat[clamped] = F_FLOOR
+    return f_hat
 
 
 def effective_throughput(
@@ -206,9 +215,12 @@ def _slp_transmit(cfg: LinkConfig, channel, symbols, spec):
     n_tx, M = channel.n_antennas, cfg.block_len
     X = np.empty((n_tx, M), dtype=complex)
     margins = np.empty(M)
-    for m, (_, sol) in enumerate(slp_core.solve_block(channel, symbols, spec)):
+    for m, (inst, sol) in enumerate(slp_core.solve_block(channel, symbols, spec)):
         if sol.status is not slp_core.SolverStatus.OPTIMAL:
-            raise SolverFailure(f"CI solve not optimal at symbol {m}: {sol.residuals}")
+            raise SolverFailure(
+                f"CI solve not optimal at symbol {m}: status {sol.status.value}, "
+                f"gap {sol.gap:.3e}, {slp_core.verify_solution(inst, sol)}"
+            )
         X[:, m] = sol.x
         margins[m] = sol.margin
     return X, margins
@@ -248,7 +260,7 @@ def simulate_block(
         # lets f_spread show that equalization. A uniform allocation has no
         # common factor (rescale is None), so every symbol's is broadcast.
         f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
-        broadcast = f_ideal if alloc.rescale is None else [alloc.rescale]
+        broadcast = f_ideal if alloc.rescale is None else np.array([alloc.rescale])
     else:
         if scheme is Scheme.ZF:
             prec = baselines.zf_precoder(channel.H)
@@ -256,22 +268,19 @@ def simulate_block(
             prec = baselines.rzf_precoder(channel.H, sigma2, M, cfg.total_power)
         precoded = prec.W @ symbols
         powers = power_alloc.allocate_uniform(M, cfg.total_power).powers
-        broadcast = [baselines.baseline_rescaling(prec, powers[0])]
+        broadcast = np.array([baselines.baseline_rescaling(prec, powers[0])])
         f_ideal = np.full(M, broadcast[0])
 
     if cfg.quantization:
-        broadcast = [quantize_broadcast(f, cfg.feedback_bits, cfg.f_max, rng) for f in broadcast]
-    f_used = np.asarray(broadcast, dtype=float)
-    received = f_used[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
+        broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
+    received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
     _, bits_hat = demodulate(spec, received.reshape(-1))
     bits_hat = bits_hat.reshape(K, M, bps)
 
     errors_per_user = np.count_nonzero(bits_hat != bits, axis=(1, 2))
     tx_power = float(np.sum(powers * np.sum(np.abs(precoded) ** 2, axis=0)))
     return BlockResult(
-        n_bits=K * M * bps,
         n_bit_errors=int(errors_per_user.sum()),
-        n_user_blocks=K,
         n_user_block_errors=int(np.count_nonzero(errors_per_user)),
         f_ideal=f_ideal,
         tx_power=tx_power,
@@ -302,14 +311,14 @@ def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) ->
             f"first: {failures[0].reason}"
         )
 
-    n_bits = sum(b.n_bits for b in blocks)
+    bps = int(np.log2(cfg.modulation))
+    n_bits = len(blocks) * cfg.users * cfg.block_len * bps
     n_errors = sum(b.n_bit_errors for b in blocks)
     ber = n_errors / n_bits if n_bits else 0.0
-    n_user_blocks = sum(b.n_user_blocks for b in blocks)
+    n_user_blocks = len(blocks) * cfg.users
     bler_counted = (
         sum(b.n_user_block_errors for b in blocks) / n_user_blocks if n_user_blocks else 0.0
     )
-    bps = int(np.log2(cfg.modulation))
     bler = 1.0 - (1.0 - ber) ** (cfg.block_len * bps)
     t_eff = effective_throughput(
         ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, scheme

@@ -48,7 +48,7 @@ class KktCertificate:
     """Numerically recovered optimality certificate for a candidate allocation.
 
     Multipliers are reconstructed from the stationarity and normalization
-    conditions, so those two residuals vanish by construction; suboptimality
+    conditions, so those two hold by construction; suboptimality
     shows up in the complementarity residual and budget violations in the
     primal residual.
     """
@@ -108,7 +108,7 @@ def verify_kkt(margins, powers, total_power: float, tol: float = 1e-9) -> KktCer
 
     With u_m = sqrt(p_m) and g = min_m t_m u_m, the multipliers are recovered
     as vartheta = 1 / sum_m (u_m / t_m) and delta_m = vartheta * u_m / t_m.
-    The certificate passes iff all residuals are <= tol and the multipliers
+    The certificate passes iff every residual is <= tol and the multipliers
     are nonnegative.
     """
     margins = np.asarray(margins, dtype=float)

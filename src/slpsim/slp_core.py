@@ -43,7 +43,7 @@ status is verify_solution's verdict on them plus the norm and gap tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -58,7 +58,6 @@ _AXES = ("re", "im")
 class SolverStatus(Enum):
     OPTIMAL = "optimal"
     MAX_ITER = "max_iter"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class SolverOptions:
     """Tolerances for the CI solve.
 
     ``tol`` bounds the certified duality gap relative to max(1, margin);
-    ``feas_tol`` bounds the constraint residuals of the returned point.
+    ``feas_tol`` bounds the constraint violations of the returned point.
     """
 
     tol: float = 1e-8
@@ -105,12 +104,12 @@ class SlpSolution:
     margin: float              # common scale t of the inner components
     alphas: np.ndarray         # (2K,) scale factors: user k's real axis at 2k, imaginary at 2k+1
     status: SolverStatus
-    residuals: dict = field(default_factory=dict)
+    gap: float = math.inf      # certified duality gap; inf where no certificate is computed
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Constraint residuals of a candidate solution.
+    """Constraint violations of a candidate solution.
 
     ``ball`` is the violation of the transmit-power ball (zero inside it);
     ``norm_dev`` additionally reports the distance of ||x|| from the boundary,
@@ -145,13 +144,12 @@ def solve_block(channel: ChannelRealization, symbols, spec: ConstellationSpec):
         yield instance, solve_ci_max(instance)
 
 
-def _zero_solution(instance: CiInstance, status: SolverStatus, residuals) -> SlpSolution:
+def _zero_solution(instance: CiInstance, status: SolverStatus) -> SlpSolution:
     return SlpSolution(
         x=np.zeros(instance.channel.n_antennas, dtype=complex),
         margin=0.0,
         alphas=np.zeros(2 * instance.channel.n_users),
         status=status,
-        residuals=residuals,
     )
 
 
@@ -174,7 +172,7 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     # Row scaling for conditioning; the scaled system keeps the same geometry.
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     if not norms.all():
-        return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
+        return _zero_solution(instance, SolverStatus.OPTIMAL)
     # Least-distance form G w >= h: every row, then each inner row negated.
     scaled = rows / norms[:, None]
     G = np.concatenate([scaled, -scaled[inner]])
@@ -186,11 +184,11 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     target[-1] = 1.0
     try:
         u, _ = nnls(E, target, maxiter=10 * max(E.shape))
-    except RuntimeError as exc:  # nnls iteration cap
-        return _zero_solution(instance, SolverStatus.MAX_ITER, {"nnls_error": str(exc)})
+    except RuntimeError:  # nnls iteration cap
+        return _zero_solution(instance, SolverStatus.MAX_ITER)
     r = E @ u - target
     if abs(r[-1]) < 1e-12:  # G^T u = 0 with h^T u = 1: no w meets G w >= h
-        return _zero_solution(instance, SolverStatus.OPTIMAL, {"degenerate": 1.0})
+        return _zero_solution(instance, SolverStatus.OPTIMAL)
     w = -r[:-1] / r[-1]
 
     margin = 1.0 / math.sqrt(w @ w)
@@ -208,13 +206,11 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     nu /= norms
     mass = float(np.add.reduce(nu))
     bound = rows.T @ nu
-    gap = max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf
+    sol.gap = max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf
 
     scale = max(1.0, margin)
     report = verify_solution(instance, sol, tol=opts.feas_tol * scale)
-    sol.residuals = {"inner": report.inner, "outer": report.outer,
-                     "norm_dev": report.norm_dev, "duality_gap": gap}
-    if not report.passed or report.norm_dev > opts.feas_tol * scale or gap > opts.tol * scale:
+    if not report.passed or report.norm_dev > opts.feas_tol * scale or sol.gap > opts.tol * scale:
         sol.status = SolverStatus.MAX_ITER
     return sol
 

@@ -341,7 +341,7 @@ def test_c6_throughput_ordering(desk_sweep):
 def test_c7_quantization_variance():
     """Broadcast error variance matches f_max / 2^B within 3%."""
     rng = trial_rng(123)
-    draws = np.array([quantize_broadcast(10.0, 5, 1.0, rng) for _ in range(100_000)])
+    draws = quantize_broadcast(np.full(100_000, 10.0), 5, 1.0, rng)
     measured = float(np.var(draws - 10.0))
     expected = 1.0 / 32.0
     rel = abs(measured - expected) / expected

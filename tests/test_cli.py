@@ -92,6 +92,23 @@ def test_parse_config_overloaded_rejected(tmp_path):
         parse_config(cfg_file)
 
 
+def test_parse_config_duplicate_key_names_its_line(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("users = 2\nantennas = 2\nusers = 3\n")
+    with pytest.raises(ConfigurationError) as duplicate:
+        parse_config(cfg_file)
+    assert str(duplicate.value) == f"{cfg_file}:3: duplicate key 'users'"
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "duplicate key 'users'" in capsys.readouterr().err
+    assert not out.exists()
+    # a repeated flag keeps argparse's last value
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", seen.append)
+    main(["run", "--users", "3", "--antennas", "3", "--users", "2"])
+    assert seen[0].users == 2
+
+
 def test_parse_config_comments_and_schemes(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -107,7 +124,7 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     rc = main(["run", "--users", "5", "--antennas", "4", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "users <= antennas" in capsys.readouterr().err
-    for snr in ("nan", "-inf", "0:5:inf"):
+    for snr in ("nan", "-inf", "0:5:inf", "4000", "-3100", "-4000"):
         rc = main(["run", "--users", "2", "--antennas", "2", f"--snr-db={snr}",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
@@ -152,13 +169,11 @@ def test_verify_solver_suite_solves_whole_blocks_through_the_block_path(monkeypa
         return original(spec, points)
 
     monkeypatch.setattr(slp_core, "classify_component", counting)
-    result = check_slp_solutions(np.random.default_rng(0), n_samples=3 * 7, users=3,
-                                 antennas=5, modulation=64, block_len=7)
+    cfg = LinkConfig(users=3, antennas=5, modulation=64, block_len=7)
+    result = check_slp_solutions(cfg, np.random.default_rng(0))
     assert result.passed, result.detail
-    assert calls == [(7, 3)] * 3  # one classification per block of 7 symbol vectors
-    assert result.detail.startswith("3 blocks of 7: 0 non-optimal solves")
-    with pytest.raises(ValueError, match="whole blocks"):
-        check_slp_solutions(np.random.default_rng(0), n_samples=10, block_len=7)
+    assert calls == [(7, 3)] * 2  # one classification per block of 7 symbol vectors
+    assert result.detail.startswith("2 blocks of 7: 0 non-optimal solves")
 
 
 def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
@@ -277,9 +292,9 @@ def test_verification_detects_non_optimal_solve(monkeypatch):
         return sol
 
     monkeypatch.setattr(slp_core, "solve_ci_max", max_iter)
-    result = check_slp_solutions(np.random.default_rng(0), n_samples=5)
+    result = check_slp_solutions(LinkConfig(block_len=5), np.random.default_rng(0))
     assert not result.passed
-    assert "5 non-optimal solves" in result.detail
+    assert "10 non-optimal solves" in result.detail
 
 
 def test_cli_verify_exit_code():

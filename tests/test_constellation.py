@@ -98,6 +98,43 @@ def test_classify_rejects_foreign_point():
         classify_component(spec, 0.5 + 0.5j)
 
 
+def _classify_by_distance_matrix(spec, points):
+    """Reference rule: membership by the distance to every constellation point,
+    outer by |component| against the outermost level."""
+    flat = np.asarray(points, dtype=complex).reshape(-1)
+    member = np.abs(flat[:, None] - spec.points).min(axis=1) <= 1e-9
+    if not member.all():
+        return None
+    edge = spec.levels[-1] - 1e-9
+    return np.abs(flat.real) >= edge, np.abs(flat.imag) >= edge
+
+
+def _classify_or_none(spec, points):
+    try:
+        return tuple(mask.reshape(-1) for mask in classify_component(spec, points))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_classify_matches_the_distance_matrix_rule(order):
+    spec = build_constellation(order)
+    rng = np.random.default_rng(order)
+    for _ in range(200):
+        block = spec.points[rng.integers(0, order, (200, 12))]
+        expected = _classify_by_distance_matrix(spec, block)
+        np.testing.assert_array_equal(_classify_or_none(spec, block), expected)
+    half_step = 0.5 * (spec.levels[1] - spec.levels[0])  # onto a decision boundary
+    for base in (spec.points[0], spec.points[rng.integers(0, order)]):
+        for offset in (0.5e-9, 0.7e-9 * (1 + 1j), 2e-9, 1e-3, half_step, complex(np.nan, 0)):
+            point = np.array([base + offset])
+            expected = _classify_by_distance_matrix(spec, point)
+            got = _classify_or_none(spec, point)
+            assert (got is None) == (expected is None), (base, offset)
+            if expected is not None:
+                np.testing.assert_array_equal(got, expected)
+
+
 def test_modulate_label_zero():
     # all-zero bits map to the lowest level on both axes under the Gray map
     spec = build_constellation(16)
@@ -138,28 +175,28 @@ def test_mod_demod_roundtrip(order, data):
 
 def test_demodulate_nearest_neighbor():
     spec = build_constellation(16)
-    point, _ = demodulate(spec, (2.9 + 1.1j) / np.sqrt(10))
+    [point], _ = demodulate(spec, np.array([(2.9 + 1.1j) / np.sqrt(10)]))
     assert point == pytest.approx((3 + 1j) / np.sqrt(10))
 
 
 def test_demodulate_saturates_far_samples():
     spec = build_constellation(16)
-    point, _ = demodulate(spec, 100 + 100j)
+    [point], _ = demodulate(spec, np.array([100 + 100j]))
     assert point == pytest.approx((3 + 3j) / np.sqrt(10))
 
 
-def test_demodulate_exact_point_and_scalar_shape():
+def test_demodulate_exact_point_and_bits_shape():
     spec = build_constellation(64)
     p = complex(spec.points[17])
-    point, bits = demodulate(spec, p)
-    assert point == p
-    assert bits.shape == (6,)
+    points, bits = demodulate(spec, np.array([p]))
+    assert points.tolist() == [p]
+    assert bits.shape == (1, 6)
 
 
 def test_demodulate_boundary_tie_prefers_smaller_level():
     spec = build_constellation(16)
     boundary = 2 / np.sqrt(10)
-    point, _ = demodulate(spec, complex(boundary, boundary))
+    [point], _ = demodulate(spec, np.array([complex(boundary, boundary)]))
     assert point == pytest.approx((1 + 1j) / np.sqrt(10))
-    point, _ = demodulate(spec, complex(-boundary, -boundary))
+    [point], _ = demodulate(spec, np.array([complex(-boundary, -boundary)]))
     assert point == pytest.approx((-1 - 1j) / np.sqrt(10))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slpsim import link_sim
+from slpsim import link_sim, slp_core
 from slpsim.channel import ChannelRealization, generate_channel, sigma2_from_snr, trial_rng
 from slpsim.cli import main
 from slpsim.errors import ConfigurationError, SolverFailure
@@ -52,18 +52,27 @@ def test_config_validation():
         make_cfg(schemes=("ZF", "MMSE"))
     assert make_cfg(schemes=("ZF",)).schemes == (Scheme.ZF,)
     assert LinkConfig().snr_db == tuple(float(v) for v in range(0, 45, 5))
+    # a finite SNR whose noise variance overflows, underflows to 0 or is inf
+    # (sigma2_from_snr raises OverflowError at 4000 dB, ZeroDivisionError at
+    # -4000 dB), and nan and -inf, which have no noise variance at all
+    assert sigma2_from_snr(3080, 50) == 0.0
+    assert sigma2_from_snr(-3100, 2) == INF
+    for snr in (4000.0, 3080.0, -3100.0, -4000.0, float("nan"), -INF):
+        with pytest.raises(ConfigurationError, match=f"snr_db value {snr}"):
+            make_cfg(snr_db=(20.0, snr), block_len=50)
+    assert make_cfg(snr_db=(INF, 300.0, -300.0)).snr_db == (INF, 300.0, -300.0)
 
 
 def test_quantize_variance():
     rng = trial_rng(4)
-    draws = np.array([quantize_broadcast(10.0, 5, 1.0, rng) for _ in range(100_000)])
+    draws = quantize_broadcast(np.full(100_000, 10.0), 5, 1.0, rng)
     measured = np.var(draws - 10.0)
     assert measured == pytest.approx(1.0 / 32.0, rel=0.03)
 
 
 def test_quantize_floor():
     rng = trial_rng(5)
-    values = [quantize_broadcast(1e-7, 5, 1.0, rng) for _ in range(50)]
+    values = quantize_broadcast(np.full(50, 1e-7), 5, 1.0, rng)
     assert min(values) >= 1e-6
 
 
@@ -152,6 +161,22 @@ def test_degenerate_channel_discards_the_trial(monkeypatch, scheme):
     monkeypatch.setattr(link_sim, "generate_channel", lambda *args: ChannelRealization(H))
     with pytest.raises(SolverFailure, match="every trial failed.*DegenerateMarginError"):
         run_monte_carlo(make_cfg(channels=2), scheme)
+
+
+def test_non_optimal_ci_solve_discards_the_trial(monkeypatch):
+    original = slp_core.solve_ci_max
+
+    def max_iter(instance, opts=None):
+        sol = original(instance, opts)
+        sol.status = slp_core.SolverStatus.MAX_ITER
+        return sol
+
+    monkeypatch.setattr(slp_core, "solve_ci_max", max_iter)
+    with pytest.raises(SolverFailure, match="every trial failed") as failure:
+        run_monte_carlo(make_cfg(channels=2), Scheme.SLP_IN_BLOCK)
+    message = str(failure.value)
+    assert "first: SolverFailure: CI solve not optimal at symbol 0" in message
+    assert "status max_iter, gap " in message and "ResidualReport(" in message
 
 
 def test_worker_env_override(monkeypatch, tmp_path):
