@@ -47,6 +47,18 @@ class ChannelRealization:
         blocks = np.stack([np.hstack([re_h, -im_h]), np.hstack([im_h, re_h])], axis=1)
         return blocks.reshape(2 * self.n_users, 2 * self.n_antennas)
 
+    @cached_property
+    def stacked_norms(self) -> np.ndarray:
+        """Euclidean norms of the (2K,) rows of ``stacked``."""
+        return np.sqrt(np.add.reduce(self.stacked * self.stacked, axis=1))
+
+    @cached_property
+    def unit_rows_t(self) -> np.ndarray:
+        """The rows of ``stacked`` scaled to unit norm, transposed and C-ordered:
+        (2N_T, 2K) with one column per row. A zero row stays zero."""
+        norms = self.stacked_norms
+        return np.ascontiguousarray((self.stacked / np.where(norms > 0, norms, 1.0)[:, None]).T)
+
 
 def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw an i.i.d. CN(0, 1) flat-fading channel, deterministic under the rng seed."""

@@ -259,11 +259,9 @@ def check_slp_solutions(cfg: LinkConfig, rng) -> SuiteResult:
     )
 
 
-def run_verification(cfg: LinkConfig | None = None, seed: int = 0) -> list:
-    """Run the verification suites on the configured system (default: LinkConfig())."""
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    return [check_slp_solutions(cfg or LinkConfig(), np.random.default_rng(seed + 1))]
+def run_verification(cfg: LinkConfig) -> list:
+    """Run the verification suites on the configured system, seeded by its ``seed``."""
+    return [check_slp_solutions(cfg, np.random.default_rng(cfg.seed + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +293,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                     help=f"config key {key}")
     verify_parser = sub.add_parser("verify", help="run the built-in verification suites")
     verify_parser.add_argument("--config", help="optional experiment file to take sizes from")
-    verify_parser.add_argument("--seed", type=int, default=0)
+    verify_parser.add_argument("--seed", default=argparse.SUPPRESS, help="config key seed")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        flags = {key: text for key, text in vars(args).items() if key in _FIELDS}
+        cfg = parse_config(args.config, flags)
         if args.command == "verify":
-            results = run_verification(parse_config(args.config) if args.config else None,
-                                       seed=args.seed)
+            results = run_verification(cfg)
             for result in results:
                 print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
             return 0 if all(r.passed for r in results) else 3
-        flags = {key: text for key, text in vars(args).items() if key in _FIELDS}
-        return run_experiment(parse_config(args.config, flags))
+        return run_experiment(cfg)
     except (ConfigurationError, OSError) as exc:  # bad flag, config, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,24 +20,36 @@ Solution method: each scale factor is a fixed linear functional of the
 stacked real vector w = [Re x; Im x]. The channel's real form
 (ChannelRealization.stacked, built once per block) maps w to the interleaved
 Re/Im receive samples; dividing its rows by the interleaved symbol components
-gives the 2K coupling rows G, with alphas = G w. For t > 0 the substitution
+c gives the 2K coupling rows G, with alphas = G w. For t > 0 the substitution
 w -> w / t turns the problem into the strictly convex least-distance program
 
     minimize ||w||  s.t.  G_inner w = 1,  G_outer w >= 1,
 
-whose solution gives t* = 1 / ||w*|| and x* = w* / ||w*||. Each equality is
-written as two opposite inequalities, and the whole program is solved by
-Lawson and Hanson's reduction of least-distance programming to a single
-nonnegative least squares problem (Solving Least Squares Problems, 1974,
-ch. 23). That is an exact active-set method and needs no rank assumption on
-G: rank-deficient channels, K < N_T, all-inner and all-outer symbol vectors
-take the same path, and an empty constraint set shows up as a zero NNLS
-residual. The NNLS solution also gives the Lagrange multipliers nu (free on
-the inner rows, nonnegative on the outer ones). By weak duality,
-||G^T nu|| / sum(nu) bounds every achievable margin from above, so its excess
-over t* is a certified duality gap at no extra cost. The reported scale
-factors are read off the same coupling rows at the returned point, and the
-status is verify_solution's verdict on them plus the norm and gap tolerances.
+whose solution gives t* = 1 / ||w*|| and x* = w* / ||w*||. Scaling each row
+of G and its right-hand side by the same positive factor leaves the program
+unchanged, so it is solved in unit-row form: row i becomes
+sign(c_i) * stacked_i / ||stacked_i|| with right-hand side
+|c_i| / ||stacked_i||. The unit rows and the row norms depend only on the
+channel and are cached on the ChannelRealization, so a solve only applies
+the signs and offsets of its symbol vector.
+
+Each equality is written as two opposite inequalities, and the whole program
+is solved by Lawson and Hanson's reduction of least-distance programming to
+a single nonnegative least squares problem (Solving Least Squares Problems,
+1974, ch. 23). That is an exact active-set method and needs no rank
+assumption on G: rank-deficient channels, K < N_T, all-inner and all-outer
+symbol vectors take the same path, and an empty constraint set shows up as
+an NNLS residual that is zero up to rounding. The residual's norm is about
+t*, so near-singular channels keep their small positive margins.
+
+The NNLS solution also gives the Lagrange multipliers nu (free on the inner
+rows, nonnegative on the outer ones). By weak duality, ||G^T nu|| / sum(nu)
+bounds every achievable margin from above, so its excess over t* is a
+certified duality gap at no extra cost. The reported scale factors are read
+off the coupling rows at the returned point, and the status is
+verify_solution's verdict on them plus the norm and gap tolerances. A margin
+whose square is lost in the rounding of the NNLS residual and that fails
+these checks is reported as zero: no positive margin is certified.
 """
 
 from __future__ import annotations
@@ -53,6 +65,10 @@ from .channel import ChannelRealization
 from .constellation import ConstellationSpec, classify_component
 
 _AXES = ("re", "im")
+# Rounding scale of the NNLS residual E u - e, per unit of 1 + sum(u): the
+# entries of E are at most 1 in magnitude but for the offsets, which sum
+# against u to about 1.
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 class SolverStatus(Enum):
@@ -70,6 +86,9 @@ class SolverOptions:
 
     tol: float = 1e-8
     feas_tol: float = 1e-7
+
+
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -158,59 +177,67 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
 
     Always returns a solution: for full-row-rank channels the optimum has a
     strictly positive margin and unit transmit norm; on degenerate channels
-    where no positive margin is achievable the zero vector (margin 0) is
-    returned with OPTIMAL status, and power allocation will reject it.
+    where no positive margin is achievable, or none above rounding can be
+    certified, the zero vector (margin 0) is returned with OPTIMAL status,
+    and power allocation will reject it.
     """
-    opts = opts or SolverOptions()
-    # Coupling rows: the stacked channel over the interleaved symbol components.
+    opts = opts or _DEFAULT_OPTIONS
+    channel = instance.channel
     components = np.ascontiguousarray(instance.symbols, dtype=complex).view(float)
     if not components.all():
         raise ValueError("symbols must have nonzero real and imaginary parts")
-    rows = instance.channel.stacked / components[:, None]
-    inner = ~instance.outer
-
-    # Row scaling for conditioning; the scaled system keeps the same geometry.
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    norms = channel.stacked_norms
     if not norms.all():
         return _zero_solution(instance, SolverStatus.OPTIMAL)
-    # Least-distance form G w >= h: every row, then each inner row negated.
-    scaled = rows / norms[:, None]
-    G = np.concatenate([scaled, -scaled[inner]])
-    h = np.concatenate([1.0 / norms, -1.0 / norms[inner]])
 
-    # Lawson-Hanson: NNLS on E = [G^T; h^T] against the last unit vector.
-    E = np.vstack([G.T, h])
-    target = np.zeros(E.shape[0])
+    # Least-distance form G w >= h: the unit coupling rows (the channel's unit
+    # rows times the component signs) with offsets |component| / row norm,
+    # then each inner row negated. Lawson-Hanson: NNLS on E = [G^T; h^T]
+    # against the last unit vector, with E written in the C order nnls takes.
+    n_rows, n_w = components.size, 2 * channel.n_antennas
+    inner = ~instance.outer
+    E = np.empty((n_w + 1, n_rows + np.count_nonzero(inner)))
+    np.multiply(channel.unit_rows_t, np.sign(components), out=E[:n_w, :n_rows])
+    offsets = np.divide(np.abs(components), norms, out=E[n_w, :n_rows])
+    np.negative(E[:, :n_rows].compress(inner, axis=1), out=E[:, n_rows:])
+    target = np.zeros(n_w + 1)
     target[-1] = 1.0
     try:
         u, _ = nnls(E, target, maxiter=10 * max(E.shape))
     except RuntimeError:  # nnls iteration cap
         return _zero_solution(instance, SolverStatus.MAX_ITER)
-    r = E @ u - target
-    if abs(r[-1]) < 1e-12:  # G^T u = 0 with h^T u = 1: no w meets G w >= h
+    r = E @ u
+    r[-1] -= 1.0
+    # At the optimum ||r||^2 = -r[-1] = t^2 / (1 + t^2). A residual that is
+    # zero up to the rounding of E u, or a last entry that is not negative,
+    # means G^T u = 0 with h^T u = 1: no w meets G w >= h.
+    rounding = _ROUNDING * (1.0 + np.add.reduce(u))
+    if r @ r <= rounding * rounding or r[-1] >= 0:
         return _zero_solution(instance, SolverStatus.OPTIMAL)
-    w = -r[:-1] / r[-1]
+    w = r[:-1] / -r[-1]
 
     margin = 1.0 / math.sqrt(w @ w)
     stacked = w * margin
-    n_tx = instance.channel.n_antennas
+    n_tx = channel.n_antennas
     x = stacked[:n_tx] + 1j * stacked[n_tx:]
-    sol = SlpSolution(x=x, margin=margin, alphas=rows @ stacked, status=SolverStatus.OPTIMAL)
+    sol = SlpSolution(x=x, margin=margin, alphas=channel.stacked @ stacked / components,
+                      status=SolverStatus.OPTIMAL)
 
-    # The same u holds the multipliers of G w >= h; folded back onto the 2K
-    # unscaled rows they bound every margin by ||rows^T nu|| / sum(nu).
-    n_rows = rows.shape[0]
-    mu = u / -r[-1]
-    nu = mu[:n_rows].copy()
-    nu[inner] -= mu[n_rows:]
-    nu /= norms
+    # The same u holds the multipliers of G w >= h. Folded back onto the 2K
+    # coupling rows (stacked over the components) they bound every margin by
+    # ||rows^T nu|| / sum(nu).
+    nu = u[:n_rows].copy()
+    nu[inner] -= u[n_rows:]
+    nu *= offsets / -r[-1]
     mass = float(np.add.reduce(nu))
-    bound = rows.T @ nu
+    bound = channel.stacked.T @ (nu / components)
     sol.gap = max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf
 
     scale = max(1.0, margin)
     report = verify_solution(instance, sol, tol=opts.feas_tol * scale)
     if not report.passed or report.norm_dev > opts.feas_tol * scale or sol.gap > opts.tol * scale:
+        if -r[-1] <= rounding:  # t^2 lost in rounding: w has no scale, no margin is certified
+            return _zero_solution(instance, SolverStatus.OPTIMAL)
         sol.status = SolverStatus.MAX_ITER
     return sol
 
@@ -221,17 +248,18 @@ def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -
     Uses the stored alphas (not ones recomputed from x) so that tampering
     with x shows up as a coupling violation.
     """
-    y = instance.channel.H @ sol.x
     alphas = sol.alphas
-    target = alphas[0::2] * instance.symbols.real + 1j * alphas[1::2] * instance.symbols.imag
-    coupling = float(np.abs(y - target).max()) if y.size else 0.0
+    components = np.ascontiguousarray(instance.symbols, dtype=complex).view(float)
+    # receive samples minus the scale factors times the components, per user
+    miss = instance.channel.H @ sol.x
+    miss -= (alphas * components).view(complex)
+    coupling = float(np.maximum.reduce(np.abs(miss), initial=0.0))
 
-    inner_alphas = alphas[~instance.outer]
-    outer_alphas = alphas[instance.outer]
-    inner = float(np.abs(inner_alphas - sol.margin).max()) if inner_alphas.size else 0.0
-    outer = float(np.maximum(sol.margin - outer_alphas, 0.0).max()) if outer_alphas.size else 0.0
+    dev = alphas - sol.margin
+    inner = float(np.maximum.reduce(np.abs(dev), where=~instance.outer, initial=0.0))
+    outer = float(np.maximum.reduce(-dev, where=instance.outer, initial=0.0))
 
-    x_norm = math.sqrt(sol.x.real @ sol.x.real + sol.x.imag @ sol.x.imag)
+    x_norm = math.sqrt(np.vdot(sol.x, sol.x).real)
     ball = max(x_norm**2 - 1.0, 0.0)
     norm_dev = abs(x_norm - 1.0)
     passed = max(coupling, inner, outer, ball) <= tol

@@ -279,7 +279,7 @@ def test_cli_byte_identical_reruns(tmp_path):
 
 
 def test_verification_suites_pass():
-    results = run_verification(seed=0)
+    results = run_verification(LinkConfig(seed=0))
     assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
 
 
@@ -299,6 +299,22 @@ def test_verification_detects_non_optimal_solve(monkeypatch):
 
 def test_cli_verify_exit_code():
     assert main(["verify", "--seed", "0"]) == 0
+
+
+def test_cli_verify_takes_the_seed_from_the_config_file(tmp_path, capsys):
+    five, nine = tmp_path / "five.cfg", tmp_path / "nine.cfg"
+    five.write_text("seed = 5\n")
+    nine.write_text("seed = 9\n")
+
+    def solver_line(*args):
+        assert main(["verify", *args]) == 0
+        return capsys.readouterr().out
+
+    seeded_by_flag = solver_line("--seed", "5")
+    assert solver_line("--config", str(five)) == seeded_by_flag
+    assert solver_line("--config", str(nine)) != seeded_by_flag
+    # an explicit --seed overrides the file's key, as run's flags do
+    assert solver_line("--config", str(nine), "--seed", "5") == seeded_by_flag
 
 
 def test_cli_verify_failure_exit_code(monkeypatch):

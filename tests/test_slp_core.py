@@ -189,6 +189,29 @@ def test_rank_deficient_channels(H, symbols, margin):
     assert verify_solution(inst, sol).passed
 
 
+def _near_singular_instance(seed, eps):
+    """3x3, 16QAM: channel row 2 is row 1 plus eps times a CN(0, 2) draw, so the
+    rows stay linearly independent and the margin stays positive."""
+    rng = trial_rng(seed)
+    H = generate_channel(3, 3, rng).H.copy()
+    H[1] = H[0] + eps * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return build_instance(ChannelRealization(H), SPEC16.points[rng.integers(0, 16, 3)], SPEC16)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+def test_near_singular_channels_keep_a_certified_positive_margin(eps):
+    # linearly independent rows always admit a positive margin, however small:
+    # the degeneracy test must judge the NNLS residual (about t) at rounding
+    # scale, not its last entry (about t^2)
+    for seed in range(50):
+        inst = _near_singular_instance(seed, eps)
+        sol = solve_ci_max(inst)
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.margin > 0
+        assert verify_solution(inst, sol).passed
+        assert sol.gap <= 1e-8 * max(1.0, sol.margin)
+
+
 def test_unit_norm_and_positive_margin():
     for seed in range(20):
         inst = random_instance(seed, users=3, antennas=4)
