@@ -27,14 +27,16 @@ class LinearPrecoder:
 
     W: np.ndarray
     beta: float
-    ridge: float = 0.0
 
 
-def _normalized(W0: np.ndarray, ridge: float) -> LinearPrecoder:
+def _regularized_inverse(H: np.ndarray, ridge: float) -> LinearPrecoder:
+    """W0 = H^H (H H^H + ridge * I)^-1, Frobenius-normalized."""
+    gram = H @ H.conj().T + ridge * np.eye(H.shape[0])
+    W0 = H.conj().T @ np.linalg.inv(gram)
     fro = float(np.linalg.norm(W0))
     if not np.isfinite(fro) or fro == 0:
         raise np.linalg.LinAlgError("precoder normalization failed (singular channel)")
-    return LinearPrecoder(W=W0 / fro, beta=1.0 / fro, ridge=ridge)
+    return LinearPrecoder(W=W0 / fro, beta=1.0 / fro)
 
 
 def zf_precoder(H: np.ndarray) -> LinearPrecoder:
@@ -43,9 +45,7 @@ def zf_precoder(H: np.ndarray) -> LinearPrecoder:
     Raises numpy.linalg.LinAlgError on rank-deficient channels; the Monte
     Carlo engine logs and discards such trials.
     """
-    gram = H @ H.conj().T
-    W0 = H.conj().T @ np.linalg.inv(gram)
-    return _normalized(W0, ridge=0.0)
+    return _regularized_inverse(H, ridge=0.0)
 
 
 def rzf_precoder(H: np.ndarray, sigma2: float, block_len: int, total_power: float) -> LinearPrecoder:
@@ -56,11 +56,8 @@ def rzf_precoder(H: np.ndarray, sigma2: float, block_len: int, total_power: floa
     """
     if total_power <= 0 or block_len < 1:
         raise ConfigurationError("need total_power > 0 and block_len >= 1")
-    n_users = H.shape[0]
-    ridge = n_users * sigma2 * block_len / total_power
-    gram = H @ H.conj().T + ridge * np.eye(n_users)
-    W0 = H.conj().T @ np.linalg.inv(gram)
-    return _normalized(W0, ridge=ridge)
+    ridge = H.shape[0] * sigma2 * block_len / total_power
+    return _regularized_inverse(H, ridge)
 
 
 def baseline_rescaling(precoder: LinearPrecoder, power: float) -> float:

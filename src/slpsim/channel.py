@@ -23,6 +23,8 @@ class ChannelRealization:
         H = np.asarray(self.H, dtype=complex)
         if H.ndim != 2:
             raise ConfigurationError("channel matrix must be 2-D (users x antennas)")
+        if H.shape[0] < 1:
+            raise ConfigurationError(f"need at least one user, got {H.shape[0]}")
         if H.shape[0] > H.shape[1]:
             raise ConfigurationError(
                 f"need K <= N_T for symbol-level precoding, got K={H.shape[0]}, N_T={H.shape[1]}"
@@ -62,8 +64,6 @@ class ChannelRealization:
 
 def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw an i.i.d. CN(0, 1) flat-fading channel, deterministic under the rng seed."""
-    if n_users < 1:  # ChannelRealization checks K <= N_T but passes a 0 x N_T matrix
-        raise ConfigurationError(f"need at least one user, got {n_users}")
     H = (
         rng.standard_normal((n_users, n_antennas))
         + 1j * rng.standard_normal((n_users, n_antennas))

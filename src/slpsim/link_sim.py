@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -122,6 +123,13 @@ class LinkConfig:
                     f"snr_db value {v} gives no finite noise variance > 0 at "
                     f"block_len={self.block_len}, total_power={self.total_power}"
                 )
+        # a repeated scheme would rerun its sweep, a repeated SNR value would
+        # rerun the point on another substream; both would write a second row
+        schemes = [s.value for s in self.schemes]
+        for key, values in (("schemes", schemes), ("snr_db", self.snr_db)):
+            repeated = [v for v, count in Counter(values).items() if count > 1]
+            if repeated:
+                raise ConfigurationError(f"{key} lists {repeated[0]} more than once")
         if self.channels < 0:
             raise ConfigurationError(f"channels must be >= 0, got {self.channels}")
         if self.seed < 0:
@@ -236,9 +244,9 @@ def simulate_block(
 ) -> BlockResult:
     """Transmit one block of ``scheme`` through ``channel`` and count receiver bit errors.
 
-    Each scheme yields its precoded block, its per-symbol powers, its ideal
-    rescaling factors and the factors it broadcasts: one per block for the
-    block-level schemes, one per symbol duration for uniform SLP.
+    Each scheme yields its precoded block, its per-symbol powers and its ideal
+    rescaling factors. A block-level scheme broadcasts one factor per block,
+    uniform SLP one per symbol duration.
     """
     scheme = Scheme(scheme)
     spec = spec or build_constellation(cfg.modulation)
@@ -252,25 +260,22 @@ def simulate_block(
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
         precoded, margins = _slp_transmit(cfg, channel, symbols, spec)
         if scheme is Scheme.SLP_IN_BLOCK:
-            alloc = power_alloc.allocate_in_block(margins, cfg.total_power)
+            powers = power_alloc.allocate_in_block(margins, cfg.total_power).powers
         else:
-            alloc = power_alloc.allocate_uniform(M, cfg.total_power)
-        powers = alloc.powers
-        # In-block factors all equal alloc.rescale; computing them per symbol
-        # lets f_spread show that equalization. A uniform allocation has no
-        # common factor (rescale is None), so every symbol's is broadcast.
+            powers = power_alloc.allocate_uniform(M, cfg.total_power)
         f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
-        broadcast = f_ideal if alloc.rescale is None else np.array([alloc.rescale])
     else:
         if scheme is Scheme.ZF:
             prec = baselines.zf_precoder(channel.H)
         else:
             prec = baselines.rzf_precoder(channel.H, sigma2, M, cfg.total_power)
         precoded = prec.W @ symbols
-        powers = power_alloc.allocate_uniform(M, cfg.total_power).powers
-        broadcast = np.array([baselines.baseline_rescaling(prec, powers[0])])
-        f_ideal = np.full(M, broadcast[0])
+        powers = power_alloc.allocate_uniform(M, cfg.total_power)
+        f_ideal = np.full(M, baselines.baseline_rescaling(prec, powers[0]))
 
+    # A block-level scheme's factors are equal over the block, so its first
+    # one stands for all; for in-block SLP, f_spread shows that equalization.
+    broadcast = f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal
     if cfg.quantization:
         broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
     received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)

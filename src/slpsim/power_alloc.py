@@ -26,21 +26,16 @@ MIN_MARGIN = 1e-12
 
 class AllocationMode(Enum):
     IN_BLOCK = "in_block"
-    UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-symbol transmit powers for one block.
-
-    ``rescale`` is the block-common receiver rescaling factor; it is only
-    defined for IN_BLOCK allocations (uniform allocation has a per-symbol
-    factor, see :func:`per_symbol_rescaling`).
-    """
+    """Per-symbol transmit powers for one block and their block-common
+    receiver rescaling factor ``rescale``."""
 
     powers: np.ndarray
     mode: AllocationMode
-    rescale: float | None = None
+    rescale: float
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,6 @@ class KktCertificate:
     primal residual.
     """
 
-    delta: np.ndarray
-    vartheta: float
     stationarity_residual: float
     complementarity_residual: float
     primal_residual: float
@@ -83,14 +76,13 @@ def allocate_in_block(margins, total_power: float) -> PowerAllocation:
     return PowerAllocation(powers=powers, mode=AllocationMode.IN_BLOCK, rescale=rescale)
 
 
-def allocate_uniform(n_symbols: int, total_power: float) -> PowerAllocation:
+def allocate_uniform(n_symbols: int, total_power: float) -> np.ndarray:
     """Uniform split of the block budget: p_m = P_T / M for every symbol."""
     if n_symbols < 1:
         raise ValueError(f"need at least one symbol, got {n_symbols}")
     if total_power <= 0:
         raise ValueError(f"total power must be > 0, got {total_power}")
-    powers = np.full(n_symbols, total_power / n_symbols)
-    return PowerAllocation(powers=powers, mode=AllocationMode.UNIFORM, rescale=None)
+    return np.full(n_symbols, total_power / n_symbols)
 
 
 def per_symbol_rescaling(margins, powers):
@@ -136,36 +128,8 @@ def verify_kkt(margins, powers, total_power: float, tol: float = 1e-9) -> KktCer
         and bool(np.all(delta >= 0))
     )
     return KktCertificate(
-        delta=delta,
-        vartheta=vartheta,
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
         primal_residual=primal,
         passed=passed,
     )
-
-
-def solve_maxmin_power(margins, total_power: float, tol: float = 1e-12) -> np.ndarray:
-    """Independent bisection oracle for the in-block allocation.
-
-    Maximizes g = min_m t_m * sqrt(p_m) subject to sum_m p_m <= P_T by
-    bisecting on g (feasible iff sum_m (g / t_m)^2 <= P_T). Deliberately does
-    not use the closed form, so it can serve as its standing cross-check.
-    """
-    margins = np.asarray(margins, dtype=float)
-    _check_margins(margins)
-    if total_power <= 0:
-        raise ValueError(f"total power must be > 0, got {total_power}")
-
-    inv_sq = margins**-2.0
-    lo = 0.0
-    hi = float(margins.min()) * np.sqrt(total_power) * (1.0 + 1e-9)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid**2 * inv_sq.sum() <= total_power:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi:
-            break
-    return (lo / margins) ** 2

@@ -33,10 +33,11 @@ from slpsim.link_sim import (
     run_monte_carlo,
     simulate_block,
 )
-from slpsim.power_alloc import allocate_in_block, solve_maxmin_power, verify_kkt
+from slpsim.power_alloc import allocate_in_block, verify_kkt
 from slpsim.slp_core import build_instance, solve_ci_max, verify_solution
 
 from ci_oracle import margin_oracle_for_instance
+from power_oracle import solve_maxmin_power
 
 DESK_SNR_DB = (25.0, 35.0, 40.0)
 DESK_SEED = 2026

@@ -35,9 +35,10 @@ def test_zf_rank_deficient_raises():
 
 
 def test_rzf_identity_channel():
-    # ridge = K * sigma2 * M / P_T = 2 * 0.25 * 2 / 1 = 1 -> W0 = I/2
+    # ridge = K * sigma2 * M / P_T = 2 * 0.25 * 2 / 1 = 1 -> W0 = I/2,
+    # so beta = 1 / ||W0||_F = (1 + ridge) / sqrt(2) = sqrt(2)
     prec = rzf_precoder(np.eye(2, dtype=complex), sigma2=0.25, block_len=2, total_power=1.0)
-    assert prec.ridge == pytest.approx(1.0)
+    assert prec.beta == pytest.approx(np.sqrt(2))
     np.testing.assert_allclose(prec.W, np.eye(2) / np.sqrt(2), atol=1e-12)
 
 

@@ -45,6 +45,8 @@ def test_overloaded_system_rejected():
         generate_channel(3, 2, trial_rng(0))
     with pytest.raises(ConfigurationError):
         ChannelRealization(np.ones((3, 2), dtype=complex))
+    with pytest.raises(ConfigurationError, match="at least one user"):
+        ChannelRealization(np.zeros((0, 3)))
 
 
 def test_entry_statistics():

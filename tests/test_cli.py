@@ -129,6 +129,13 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "snr_db" in capsys.readouterr().err
+    # a repeated scheme or SNR point would be run and written twice
+    for flags, message in ((["--scheme", "ZF,ZF", "--snr-db", "10"], "schemes lists ZF"),
+                           (["--scheme", "ZF", "--snr-db", "10,10"], "snr_db lists 10.0")):
+        rc = main(["run", "--users", "2", "--antennas", "2", "--block-len", "4",
+                   "--channels", "3", *flags, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
     # flag values are read by the config-file parsers, and usage errors are
     # configuration errors too
     for bad in (["--users", "abc"], ["--channels", "1.5"], ["--mod", "x"],

@@ -61,6 +61,12 @@ def test_config_validation():
         with pytest.raises(ConfigurationError, match=f"snr_db value {snr}"):
             make_cfg(snr_db=(20.0, snr), block_len=50)
     assert make_cfg(snr_db=(INF, 300.0, -300.0)).snr_db == (INF, 300.0, -300.0)
+    # a repeated scheme (also under another spelling) or SNR value is named
+    with pytest.raises(ConfigurationError, match="schemes lists ZF more than once"):
+        make_cfg(schemes=("ZF", "SLP_IN_BLOCK", Scheme.ZF))
+    for snr in ((10.0, 10.0), (INF, 20.0, INF)):
+        with pytest.raises(ConfigurationError, match=f"snr_db lists {snr[0]} more than once"):
+            make_cfg(snr_db=snr)
 
 
 def test_quantize_variance():
@@ -74,6 +80,26 @@ def test_quantize_floor():
     rng = trial_rng(5)
     values = quantize_broadcast(np.full(50, 1e-7), 5, 1.0, rng)
     assert min(values) >= 1e-6
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_each_scheme_broadcasts_once_per_block_or_per_symbol(monkeypatch, scheme):
+    original = link_sim.quantize_broadcast
+    broadcasts = []
+
+    def recording(f, *args):
+        broadcasts.append(np.array(f))
+        return original(f, *args)
+
+    monkeypatch.setattr(link_sim, "quantize_broadcast", recording)
+    cfg = make_cfg(users=3, antennas=4)
+    rng = trial_rng(cfg.seed, 0, 0)
+    block = simulate_block(cfg, scheme, generate_channel(3, 4, rng), 1e-3, rng)
+    assert len(broadcasts) == 1
+    expected = cfg.block_len if scheme is Scheme.SLP_UNIFORM else 1
+    assert len(broadcasts[0]) == expected
+    if scheme is Scheme.SLP_IN_BLOCK:
+        assert broadcasts[0][0] == block.f_ideal[0]
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.ZF])
