@@ -9,6 +9,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Largest condition number of the Gram matrix R = stacked @ stacked.T that
+# is whitened. A whitened CI solve loses about cond(R) * eps to rounding,
+# so this bound keeps that loss below 1e-9 relative.
+_MAX_WHITENED_COND = 1e-9 / np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -60,6 +65,21 @@ class ChannelRealization:
         (2N_T, 2K) with one column per row. A zero row stays zero."""
         norms = self.stacked_norms
         return np.ascontiguousarray((self.stacked / np.where(norms > 0, norms, 1.0)[:, None]).T)
+
+    @cached_property
+    def whitener(self) -> np.ndarray | None:
+        """L^-1 for the Cholesky factor L of R = stacked @ stacked.T, (2K, 2K).
+
+        None when R has no Cholesky factor or cond(R) exceeds
+        _MAX_WHITENED_COND: such a channel is solved without whitening."""
+        gram = self.stacked @ self.stacked.T
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.linalg.cond(gram) <= _MAX_WHITENED_COND:
+            return None
+        return np.linalg.inv(factor)
 
 
 def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:

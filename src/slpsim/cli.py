@@ -61,7 +61,10 @@ def parse_snr_values(text: str) -> tuple:
 
 
 def _parse_schemes(text: str) -> tuple:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    names = tuple(s.strip() for s in text.split(","))
+    if not all(names):
+        raise ConfigurationError(f"cannot parse schemes value {text!r}: empty scheme name")
+    return names
 
 
 def _parse_bool(text: str) -> bool:

@@ -25,31 +25,52 @@ w -> w / t turns the problem into the strictly convex least-distance program
 
     minimize ||w||  s.t.  G_inner w = 1,  G_outer w >= 1,
 
-whose solution gives t* = 1 / ||w*|| and x* = w* / ||w*||. Scaling each row
-of G and its right-hand side by the same positive factor leaves the program
-unchanged, so it is solved in unit-row form: row i becomes
-sign(c_i) * stacked_i / ||stacked_i|| with right-hand side
-|c_i| / ||stacked_i||. The unit rows and the row norms depend only on the
-channel and are cached on the ChannelRealization, so a solve only applies
-the signs and offsets of its symbol vector.
+whose solution gives t* = 1 / ||w*|| and x* = w* / ||w*||. It is solved
+in one of two forms, each by one exact active-set NNLS.
 
-Each equality is written as two opposite inequalities, and the whole program
-is solved by Lawson and Hanson's reduction of least-distance programming to
-a single nonnegative least squares problem (Solving Least Squares Problems,
-1974, ch. 23). That is an exact active-set method and needs no rank
-assumption on G: rank-deficient channels, K < N_T, all-inner and all-outer
-symbol vectors take the same path, and an empty constraint set shows up as
-an NNLS residual that is zero up to rounding. The residual's norm is about
-t*, so near-singular channels keep their small positive margins.
+Whitened form, on well-conditioned channels. Let S be the stacked channel,
+R = S S^T its Gram matrix with Cholesky factor L, and write the scale
+factors at w as a = G w, with a_inner = 1 and a_outer = 1 + s, s >= 0.
+The shortest w with S w = c * a is S^T R^-1 (c * a), whose squared norm is
+||L^-1 (c * a)||^2, so the program becomes the 2K x |outer| NNLS
 
-The NNLS solution also gives the Lagrange multipliers nu (free on the inner
-rows, nonnegative on the outer ones). By weak duality, ||G^T nu|| / sum(nu)
-bounds every achievable margin from above, so its excess over t* is a
-certified duality gap at no extra cost. The reported scale factors are read
-off the coupling rows at the returned point, and the status is
-verify_solution's verdict on them plus the norm and gap tolerances. A margin
-whose square is lost in the rounding of the NNLS residual and that fails
-these checks is reported as zero: no positive margin is certified.
+    minimize ||A s - b||  s.t.  s >= 0,  A = L^-1[:, outer] c_outer,  b = -L^-1 c
+
+(the dual view of Li and Masouros, IEEE Trans. Wireless Commun., 2018).
+With z = A s - b, the optimum is w = S^T L^-T z, and nu = c * (L^-T z) are
+the Lagrange multipliers of the coupling rows; on the outer rows they are
+the NNLS gradient, nonnegative up to rounding, and are clamped at 0.
+ChannelRealization.whitener caches L^-1 once per channel, and is None when
+R has no Cholesky factor or cond(R) exceeds 1e-9 / eps, the bound at which
+the rounding of the whitened solve stays below 1e-9 relative. A symbol
+vector is solved in the least-distance form, whose verdict is final, when
+its channel has no whitener or its whitened solve hits the NNLS iteration
+cap, has no positive multiplier mass or fails the status checks below.
+
+Least-distance form, exact on every channel. Each equality is written as
+two opposite inequalities, and the whole program is solved by Lawson and
+Hanson's reduction of least-distance programming to a single nonnegative
+least squares problem (Solving Least Squares Problems, 1974, ch. 23), of
+size (2N_T + 1) x (2K + |inner|). Scaling each row of G and its right-hand
+side by the same positive factor leaves the program unchanged, so it is
+written in unit rows: row i becomes sign(c_i) * stacked_i / ||stacked_i||
+with right-hand side |c_i| / ||stacked_i||. The unit rows and the row norms
+are cached on the ChannelRealization, so a solve only applies the signs and
+offsets of its symbol vector. This form needs no rank assumption on G:
+rank-deficient channels, K < N_T, all-inner and all-outer symbol vectors
+take the same path, and an empty constraint set shows up as an NNLS
+residual that is zero up to rounding. The residual's norm is about t*, so
+near-singular channels keep their small positive margins. The NNLS solution
+also gives the multipliers nu (free on the inner rows, nonnegative on the
+outer ones).
+
+In both forms, by weak duality, ||G^T nu|| / sum(nu) bounds every
+achievable margin from above, so its excess over t* is a certified duality
+gap at no extra cost. The reported scale factors are read off the coupling
+rows at the returned point, and the status is verify_solution's verdict on
+them plus the norm and gap tolerances. A least-distance margin whose square
+is lost in the rounding of the NNLS residual and that fails these checks is
+reported as zero: no positive margin is certified.
 """
 
 from __future__ import annotations
@@ -182,10 +203,43 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     and power allocation will reject it.
     """
     opts = opts or _DEFAULT_OPTIONS
-    channel = instance.channel
     components = np.ascontiguousarray(instance.symbols, dtype=complex).view(float)
     if not components.all():
         raise ValueError("symbols must have nonzero real and imaginary parts")
+    if instance.channel.whitener is not None:
+        sol = _solve_whitened(instance, components, opts)
+        if sol is not None:
+            return sol
+    return _solve_ldp(instance, components, opts)
+
+
+def _solve_whitened(instance: CiInstance, components: np.ndarray,
+                    opts: SolverOptions) -> SlpSolution | None:
+    """The whitened solve; None where it is not certified."""
+    channel = instance.channel
+    whitener, outer = channel.whitener, instance.outer
+    # z = L^-1 (c * a) with a_outer = 1 + s: minimize ||z|| over s >= 0
+    z = whitener @ components
+    A = whitener[:, outer] * components[outer]
+    if A.size:
+        try:
+            s, _ = nnls(A, -z, maxiter=10 * max(A.shape))
+        except RuntimeError:  # nnls iteration cap
+            return None
+        z += A @ s
+    # w = S^T y for y = L^-T z; c * y are the multipliers, on the outer rows
+    # the NNLS gradient, nonnegative up to rounding. Without positive mass
+    # they certify nothing (gap inf).
+    y = whitener.T @ z
+    nu = components * y
+    np.maximum(nu, 0.0, out=nu, where=outer)
+    sol = _solution(channel, components, channel.stacked.T @ y, nu)
+    return sol if _certified(instance, sol, opts) else None
+
+
+def _solve_ldp(instance: CiInstance, components: np.ndarray, opts: SolverOptions) -> SlpSolution:
+    """The least-distance solve by Lawson-Hanson NNLS, exact on every channel."""
+    channel = instance.channel
     norms = channel.stacked_norms
     if not norms.all():
         return _zero_solution(instance, SolverStatus.OPTIMAL)
@@ -214,32 +268,44 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     rounding = _ROUNDING * (1.0 + np.add.reduce(u))
     if r @ r <= rounding * rounding or r[-1] >= 0:
         return _zero_solution(instance, SolverStatus.OPTIMAL)
-    w = r[:-1] / -r[-1]
 
-    margin = 1.0 / math.sqrt(w @ w)
-    stacked = w * margin
-    n_tx = channel.n_antennas
-    x = stacked[:n_tx] + 1j * stacked[n_tx:]
-    sol = SlpSolution(x=x, margin=margin, alphas=channel.stacked @ stacked / components,
-                      status=SolverStatus.OPTIMAL)
-
-    # The same u holds the multipliers of G w >= h. Folded back onto the 2K
-    # coupling rows (stacked over the components) they bound every margin by
-    # ||rows^T nu|| / sum(nu).
+    # The same u holds the multipliers of G w >= h, folded back onto the 2K
+    # coupling rows.
     nu = u[:n_rows].copy()
     nu[inner] -= u[n_rows:]
     nu *= offsets / -r[-1]
-    mass = float(np.add.reduce(nu))
-    bound = channel.stacked.T @ (nu / components)
-    sol.gap = max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf
-
-    scale = max(1.0, margin)
-    report = verify_solution(instance, sol, tol=opts.feas_tol * scale)
-    if not report.passed or report.norm_dev > opts.feas_tol * scale or sol.gap > opts.tol * scale:
+    sol = _solution(channel, components, r[:-1] / -r[-1], nu)
+    if not _certified(instance, sol, opts):
         if -r[-1] <= rounding:  # t^2 lost in rounding: w has no scale, no margin is certified
             return _zero_solution(instance, SolverStatus.OPTIMAL)
         sol.status = SolverStatus.MAX_ITER
     return sol
+
+
+def _solution(channel: ChannelRealization, components: np.ndarray, w: np.ndarray,
+              nu: np.ndarray) -> SlpSolution:
+    """The solution at w = x / t, with the duality gap of the coupling-row
+    multipliers nu: every margin is at most ||stacked^T (nu / c)|| / sum(nu)."""
+    margin = 1.0 / math.sqrt(w @ w)
+    stacked = w * margin
+    n_tx = channel.n_antennas
+    mass = float(np.add.reduce(nu))
+    bound = channel.stacked.T @ (nu / components)
+    return SlpSolution(
+        x=stacked[:n_tx] + 1j * stacked[n_tx:],
+        margin=margin,
+        alphas=channel.stacked @ stacked / components,
+        status=SolverStatus.OPTIMAL,
+        gap=max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf,
+    )
+
+
+def _certified(instance: CiInstance, sol: SlpSolution, opts: SolverOptions) -> bool:
+    """Whether a solution meets the residual, norm and duality-gap tolerances."""
+    scale = max(1.0, sol.margin)
+    report = verify_solution(instance, sol, tol=opts.feas_tol * scale)
+    return (report.passed and report.norm_dev <= opts.feas_tol * scale
+            and sol.gap <= opts.tol * scale)
 
 
 def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -> ResidualReport:

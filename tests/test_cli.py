@@ -129,9 +129,14 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "snr_db" in capsys.readouterr().err
-    # a repeated scheme or SNR point would be run and written twice
+    # a repeated scheme or SNR point would be run and written twice; an empty
+    # name is a typo, rejected like the SNR parser rejects "10,"
     for flags, message in ((["--scheme", "ZF,ZF", "--snr-db", "10"], "schemes lists ZF"),
-                           (["--scheme", "ZF", "--snr-db", "10,10"], "snr_db lists 10.0")):
+                           (["--scheme", "ZF", "--snr-db", "10,10"], "snr_db lists 10.0"),
+                           (["--scheme", "ZF,", "--snr-db", "10"], "'ZF,'"),
+                           (["--scheme", ",ZF", "--snr-db", "10"], "',ZF'"),
+                           (["--scheme", "ZF,,RZF", "--snr-db", "10"], "'ZF,,RZF'"),
+                           (["--scheme", "ZF", "--snr-db", "10,"], "'10,'")):
         rc = main(["run", "--users", "2", "--antennas", "2", "--block-len", "4",
                    "--channels", "3", *flags, "--out", str(tmp_path / "x.csv")])
         assert rc == 1

@@ -9,7 +9,10 @@ from slpsim.link_sim import LinkConfig, _slp_transmit
 from slpsim.slp_core import (
     CiInstance,
     SlpSolution,
+    SolverOptions,
     SolverStatus,
+    _solve_ldp,
+    _solve_whitened,
     build_instance,
     solve_ci_max,
     verify_solution,
@@ -161,18 +164,50 @@ def test_solver_matches_bruteforce_oracle(seed, order, users, extra_antennas, ma
     assert verify_solution(inst, sol).passed
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    order=st.sampled_from(SUPPORTED_ORDERS),
+    users=st.integers(1, 8),
+    extra_antennas=st.integers(0, 4),
+    mask=st.sampled_from([None, "inner", "outer"]),
+)
+@example(seed=30, order=4, users=4, extra_antennas=0, mask="outer")
+@example(seed=31, order=16, users=6, extra_antennas=0, mask=None)
+@example(seed=32, order=64, users=3, extra_antennas=3, mask="inner")
+@example(seed=33, order=256, users=8, extra_antennas=0, mask="inner")
+@example(seed=34, order=256, users=5, extra_antennas=2, mask=None)
+@example(seed=35, order=16, users=2, extra_antennas=4, mask="outer")
+def test_whitened_solve_matches_the_ldp_path(seed, order, users, extra_antennas, mask):
+    # the whitened dual and the least-distance program are the same problem:
+    # on a well-conditioned channel solve_ci_max takes the first, and the
+    # exact Lawson-Hanson path must agree with it to rounding
+    assume(not (order == 4 and mask == "inner"))  # QPSK has no inner axis
+    inst = random_instance(seed, users, users + extra_antennas, build_constellation(order), mask)
+    components = inst.symbols.view(float)
+    fast = solve_ci_max(inst)
+    assert inst.channel.whitener is not None
+    assert np.array_equal(fast.x, _solve_whitened(inst, components, SolverOptions()).x)
+    exact = _solve_ldp(inst, components, SolverOptions())
+    assert fast.status is exact.status is SolverStatus.OPTIMAL
+    assert fast.margin == pytest.approx(exact.margin, rel=1e-9, abs=0)
+    assert np.max(np.abs(fast.x - exact.x)) <= 1e-9
+    assert fast.gap <= 1e-8 * max(1.0, fast.margin)
+
+
 _H_ROW = np.array([0.7 + 0.2j, -0.3 + 0.9j])
+_DUPLICATED_ROW, _ZERO_ROW = np.vstack([_H_ROW, _H_ROW]), np.vstack([_H_ROW, np.zeros(2)])
 _INNER, _CORNER = (1 + 1j) / np.sqrt(10), (3 + 3j) / np.sqrt(10)
 
 
 @pytest.mark.parametrize(
     "H, symbols, margin",
     [
-        (np.vstack([_H_ROW, _H_ROW]), (_INNER, _INNER), 2.673948),
-        (np.vstack([_H_ROW, _H_ROW]), (_INNER, (-1 + 1j) / np.sqrt(10)), 0.0),
-        (np.vstack([_H_ROW, _H_ROW]), (_CORNER, _CORNER), 0.891316),
-        (np.vstack([_H_ROW, _H_ROW]), (_INNER, _CORNER), 0.0),
-        (np.vstack([_H_ROW, np.zeros(2)]), (_INNER, _CORNER), 0.0),
+        (_DUPLICATED_ROW, (_INNER, _INNER), 2.673948),
+        (_DUPLICATED_ROW, (_INNER, (-1 + 1j) / np.sqrt(10)), 0.0),
+        (_DUPLICATED_ROW, (_CORNER, _CORNER), 0.891316),
+        (_DUPLICATED_ROW, (_INNER, _CORNER), 0.0),
+        (_ZERO_ROW, (_INNER, _CORNER), 0.0),
     ],
     ids=["same-inner", "opposite-inner", "same-corner", "inner-vs-corner", "zero-row"],
 )
@@ -210,6 +245,24 @@ def test_near_singular_channels_keep_a_certified_positive_margin(eps):
         assert sol.margin > 0
         assert verify_solution(inst, sol).passed
         assert sol.gap <= 1e-8 * max(1.0, sol.margin)
+
+
+def test_only_well_conditioned_channels_are_whitened():
+    # rank-deficient and near-singular channels must take the exact path:
+    # whitened, the eps = 1e-5 channels pass every status check with margins
+    # up to 2e-4 relative off, as the gap tolerance 1e-8 * max(1, t) is
+    # absolute at t < 1
+    assert ChannelRealization(_DUPLICATED_ROW).whitener is None
+    assert ChannelRealization(_ZERO_ROW).whitener is None
+    for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        for seed in range(50):
+            assert _near_singular_instance(seed, eps).channel.whitener is None, (eps, seed)
+    for users, antennas in ((1, 1), (4, 4), (3, 6), (12, 12)):
+        for seed in range(50):
+            channel = generate_channel(users, antennas, trial_rng(seed, users, antennas))
+            L_inv = channel.whitener
+            gram = channel.stacked @ channel.stacked.T
+            np.testing.assert_allclose(L_inv @ gram @ L_inv.T, np.eye(2 * users), atol=1e-9)
 
 
 def test_unit_norm_and_positive_margin():
