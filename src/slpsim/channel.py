@@ -55,18 +55,6 @@ class ChannelRealization:
         return blocks.reshape(2 * self.n_users, 2 * self.n_antennas)
 
     @cached_property
-    def stacked_norms(self) -> np.ndarray:
-        """Euclidean norms of the (2K,) rows of ``stacked``."""
-        return np.sqrt(np.add.reduce(self.stacked * self.stacked, axis=1))
-
-    @cached_property
-    def unit_rows_t(self) -> np.ndarray:
-        """The rows of ``stacked`` scaled to unit norm, transposed and C-ordered:
-        (2N_T, 2K) with one column per row. A zero row stays zero."""
-        norms = self.stacked_norms
-        return np.ascontiguousarray((self.stacked / np.where(norms > 0, norms, 1.0)[:, None]).T)
-
-    @cached_property
     def whitener(self) -> np.ndarray | None:
         """L^-1 for the Cholesky factor L of R = stacked @ stacked.T, (2K, 2K).
 

@@ -349,31 +349,29 @@ def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) ->
     )
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        text = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+def _worker_count() -> int:
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigurationError(f"worker count ({WORKERS_ENV}) must be in 1..{MAX_WORKERS}, got {workers}")
     return workers
 
 
-def run_monte_carlo(cfg: LinkConfig, scheme: Scheme, workers: int | None = None,
-                    return_trials: bool = False):
+def run_monte_carlo(cfg: LinkConfig, scheme: Scheme, return_trials: bool = False):
     """Run the configured sweep for one scheme; one record per SNR point.
 
-    ``workers`` (default: the SLPSIM_WORKERS env var, else serial) bounds the
-    process pool; results are reduced in trial order, so the output does not
-    depend on scheduling. With ``return_trials`` the per-trial block results
-    are returned alongside the records. Raises SolverFailure when every
-    trial of an SNR point fails.
+    The SLPSIM_WORKERS env var (default 1: serial) bounds the process pool;
+    results are reduced in trial order, so the output does not depend on
+    scheduling. With ``return_trials`` the per-trial block results are
+    returned alongside the records. Raises SolverFailure when every trial of
+    an SNR point fails.
     """
     scheme = Scheme(scheme)
     spec = build_constellation(cfg.modulation)
-    n_workers = _worker_count(workers)
+    n_workers = _worker_count()
     records = []
     per_snr_trials = []
     for i, snr_db in enumerate(cfg.snr_db):

@@ -54,9 +54,9 @@ least squares problem (Solving Least Squares Problems, 1974, ch. 23), of
 size (2N_T + 1) x (2K + |inner|). Scaling each row of G and its right-hand
 side by the same positive factor leaves the program unchanged, so it is
 written in unit rows: row i becomes sign(c_i) * stacked_i / ||stacked_i||
-with right-hand side |c_i| / ||stacked_i||. The unit rows and the row norms
-are cached on the ChannelRealization, so a solve only applies the signs and
-offsets of its symbol vector. This form needs no rank assumption on G:
+with right-hand side |c_i| / ||stacked_i||. As this form is only the
+fallback, each solve computes its row norms and unit rows from
+ChannelRealization.stacked. It needs no rank assumption on G:
 rank-deficient channels, K < N_T, all-inner and all-outer symbol vectors
 take the same path, and an empty constraint set shows up as an NNLS
 residual that is zero up to rounding. The residual's norm is about t*, so
@@ -240,21 +240,20 @@ def _solve_whitened(instance: CiInstance, components: np.ndarray,
 def _solve_ldp(instance: CiInstance, components: np.ndarray, opts: SolverOptions) -> SlpSolution:
     """The least-distance solve by Lawson-Hanson NNLS, exact on every channel."""
     channel = instance.channel
-    norms = channel.stacked_norms
+    stacked = channel.stacked
+    norms = np.linalg.norm(stacked, axis=1)
     if not norms.all():
         return _zero_solution(instance, SolverStatus.OPTIMAL)
 
-    # Least-distance form G w >= h: the unit coupling rows (the channel's unit
-    # rows times the component signs) with offsets |component| / row norm,
-    # then each inner row negated. Lawson-Hanson: NNLS on E = [G^T; h^T]
-    # against the last unit vector, with E written in the C order nnls takes.
-    n_rows, n_w = components.size, 2 * channel.n_antennas
+    # Least-distance form G w >= h: the channel's rows over their norms times
+    # the component signs, with offsets |component| / row norm, then each
+    # inner row negated. Lawson-Hanson: NNLS on E = [G^T; h^T] against the
+    # last unit vector, with E copied into the C order nnls takes.
     inner = ~instance.outer
-    E = np.empty((n_w + 1, n_rows + np.count_nonzero(inner)))
-    np.multiply(channel.unit_rows_t, np.sign(components), out=E[:n_w, :n_rows])
-    offsets = np.divide(np.abs(components), norms, out=E[n_w, :n_rows])
-    np.negative(E[:, :n_rows].compress(inner, axis=1), out=E[:, n_rows:])
-    target = np.zeros(n_w + 1)
+    offsets = np.abs(components) / norms
+    rows = np.column_stack([stacked / norms[:, None] * np.sign(components)[:, None], offsets])
+    E = np.concatenate([rows, -rows[inner]]).T.copy()
+    target = np.zeros(E.shape[0])
     target[-1] = 1.0
     try:
         u, _ = nnls(E, target, maxiter=10 * max(E.shape))
@@ -271,6 +270,7 @@ def _solve_ldp(instance: CiInstance, components: np.ndarray, opts: SolverOptions
 
     # The same u holds the multipliers of G w >= h, folded back onto the 2K
     # coupling rows.
+    n_rows = components.size
     nu = u[:n_rows].copy()
     nu[inner] -= u[n_rows:]
     nu *= offsets / -r[-1]

@@ -25,6 +25,7 @@ from slpsim.channel import ChannelRealization, generate_channel, sigma2_from_snr
 from slpsim.cli import main
 from slpsim.constellation import build_constellation
 from slpsim.link_sim import (
+    WORKERS_ENV,
     BlockResult,
     LinkConfig,
     Scheme,
@@ -61,14 +62,12 @@ def _per_trial(trials, attr):
     ]
 
 
-def _sweep(schemes, workers=None, **cfg):
+def _sweep(schemes, **cfg):
     """Paired sweep: per scheme, the records and the per-trial bit-error and
     user-block-error counts at each SNR point."""
     out = {}
     for scheme in schemes:
-        records, trials = run_monte_carlo(
-            LinkConfig(**cfg), scheme, workers=workers, return_trials=True
-        )
+        records, trials = run_monte_carlo(LinkConfig(**cfg), scheme, return_trials=True)
         out[scheme] = {
             "records": records,
             "bits": _per_trial(trials, "n_bit_errors"),
@@ -95,12 +94,14 @@ def paper_sweep():
     Two workers: the engine's output does not depend on the worker count
     (criterion 8), and serially the sweep takes about twice as long.
     """
-    return _sweep(
-        (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.RZF), workers=2,
-        users=12, antennas=12, block_len=200, modulation=16,
-        snr_db=PAPER_SNR_DB, feedback_bits=5, f_max=1.0,
-        channels=PAPER_CHANNELS, seed=PAPER_SEED, quantization=True,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(WORKERS_ENV, "2")
+        return _sweep(
+            (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.RZF),
+            users=12, antennas=12, block_len=200, modulation=16,
+            snr_db=PAPER_SNR_DB, feedback_bits=5, f_max=1.0,
+            channels=PAPER_CHANNELS, seed=PAPER_SEED, quantization=True,
+        )
 
 
 def _paired_z(counts_a, counts_b):

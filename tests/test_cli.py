@@ -13,7 +13,6 @@ from slpsim.cli import (
     main,
     parse_config,
     parse_snr_values,
-    run_verification,
 )
 from slpsim.errors import ConfigurationError
 from slpsim.link_sim import WORKERS_ENV, LinkConfig, Scheme
@@ -109,6 +108,20 @@ def test_parse_config_duplicate_key_names_its_line(tmp_path, monkeypatch, capsys
     assert seen[0].users == 2
 
 
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"users = 4\xff\n")
+    with pytest.raises(ConfigurationError, match="not UTF-8"):
+        parse_config(cfg_file)
+    out = tmp_path / "x.csv"
+    for argv in (["run", "--config", str(cfg_file), "--out", str(out)],
+                 ["verify", "--config", str(cfg_file)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert str(cfg_file) in err and "not UTF-8" in err, err
+    assert not out.exists()
+
+
 def test_parse_config_comments_and_schemes(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -182,10 +195,10 @@ def test_verify_solver_suite_solves_whole_blocks_through_the_block_path(monkeypa
 
     monkeypatch.setattr(slp_core, "classify_component", counting)
     cfg = LinkConfig(users=3, antennas=5, modulation=64, block_len=7)
-    result = check_slp_solutions(cfg, np.random.default_rng(0))
-    assert result.passed, result.detail
+    passed, detail = check_slp_solutions(cfg)
+    assert passed, detail
     assert calls == [(7, 3)] * 2  # one classification per block of 7 symbol vectors
-    assert result.detail.startswith("2 blocks of 7: 0 non-optimal solves")
+    assert detail.startswith("2 blocks of 7: 0 non-optimal solves")
 
 
 def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
@@ -291,8 +304,8 @@ def test_cli_byte_identical_reruns(tmp_path):
 
 
 def test_verification_suites_pass():
-    results = run_verification(LinkConfig(seed=0))
-    assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
+    passed, detail = check_slp_solutions(LinkConfig(seed=0))
+    assert passed, detail
 
 
 def test_verification_detects_non_optimal_solve(monkeypatch):
@@ -304,9 +317,9 @@ def test_verification_detects_non_optimal_solve(monkeypatch):
         return sol
 
     monkeypatch.setattr(slp_core, "solve_ci_max", max_iter)
-    result = check_slp_solutions(LinkConfig(block_len=5), np.random.default_rng(0))
-    assert not result.passed
-    assert "10 non-optimal solves" in result.detail
+    passed, detail = check_slp_solutions(LinkConfig(block_len=5))
+    assert not passed
+    assert "10 non-optimal solves" in detail
 
 
 def test_cli_verify_exit_code():
@@ -329,14 +342,12 @@ def test_cli_verify_takes_the_seed_from_the_config_file(tmp_path, capsys):
     assert solver_line("--config", str(nine), "--seed", "5") == seeded_by_flag
 
 
-def test_cli_verify_failure_exit_code(monkeypatch):
+def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     import slpsim.cli as cli
 
-    monkeypatch.setattr(
-        cli, "run_verification",
-        lambda spec=None, seed=0: [cli.SuiteResult("stub", False, "injected")],
-    )
+    monkeypatch.setattr(cli, "check_slp_solutions", lambda cfg: (False, "injected"))
     assert main(["verify"]) == 3
+    assert capsys.readouterr().out == "FAIL slp-solver: injected\n"
 
 
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):

@@ -173,10 +173,12 @@ def test_run_monte_carlo_deterministic():
     assert first == second
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
     cfg = make_cfg(channels=6, snr_db=(15.0,))
-    serial = run_monte_carlo(cfg, Scheme.ZF, workers=1)
-    parallel = run_monte_carlo(cfg, Scheme.ZF, workers=2)
+    monkeypatch.setenv(link_sim.WORKERS_ENV, "1")
+    serial = run_monte_carlo(cfg, Scheme.ZF)
+    monkeypatch.setenv(link_sim.WORKERS_ENV, "2")
+    parallel = run_monte_carlo(cfg, Scheme.ZF)
     assert serial == parallel
 
 
@@ -209,10 +211,11 @@ def test_worker_env_override(monkeypatch, tmp_path):
     from slpsim.link_sim import MAX_WORKERS, WORKERS_ENV, _worker_count
 
     monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _worker_count(None) == 3
-    assert _worker_count(2) == 2
+    assert _worker_count() == 3
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    assert _worker_count() == 2
     monkeypatch.delenv(WORKERS_ENV)
-    assert _worker_count(None) == 1
+    assert _worker_count() == 1
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -223,8 +226,6 @@ def test_worker_env_override(monkeypatch, tmp_path):
         monkeypatch.setenv(WORKERS_ENV, bad)
         with pytest.raises(ConfigurationError):
             run_monte_carlo(cfg, Scheme.ZF)
-    with pytest.raises(ConfigurationError):
-        run_monte_carlo(cfg, Scheme.ZF, workers=0)
     monkeypatch.setenv(WORKERS_ENV, "abc")
     assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2",
                  "--channels", "6", "--out", str(tmp_path / "x.csv")]) == 1

@@ -14,6 +14,7 @@ from slpsim.slp_core import (
     _solve_ldp,
     _solve_whitened,
     build_instance,
+    solve_block,
     solve_ci_max,
     verify_solution,
 )
@@ -247,6 +248,12 @@ def test_near_singular_channels_keep_a_certified_positive_margin(eps):
         assert sol.gap <= 1e-8 * max(1.0, sol.margin)
 
 
+def _sweep_channel():
+    """The 4x4 Rayleigh draw of the desk sweep at seed 6, SNR index 7, trial 2:
+    cond(R) is about 5.7e6, above the whitening bound."""
+    return generate_channel(4, 4, trial_rng(6, 7, 2))
+
+
 def test_only_well_conditioned_channels_are_whitened():
     # rank-deficient and near-singular channels must take the exact path:
     # whitened, the eps = 1e-5 channels pass every status check with margins
@@ -254,6 +261,7 @@ def test_only_well_conditioned_channels_are_whitened():
     # absolute at t < 1
     assert ChannelRealization(_DUPLICATED_ROW).whitener is None
     assert ChannelRealization(_ZERO_ROW).whitener is None
+    assert _sweep_channel().whitener is None
     for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
         for seed in range(50):
             assert _near_singular_instance(seed, eps).channel.whitener is None, (eps, seed)
@@ -263,6 +271,21 @@ def test_only_well_conditioned_channels_are_whitened():
             L_inv = channel.whitener
             gram = channel.stacked @ channel.stacked.T
             np.testing.assert_allclose(L_inv @ gram @ L_inv.T, np.eye(2 * users), atol=1e-9)
+
+
+def test_unwhitened_sweep_channel_solves_every_symbol():
+    # a real sweep channel that takes the least-distance form on every symbol
+    rng = trial_rng(6)
+    block = SPEC16.points[rng.integers(0, 16, (4, 50))]
+    solved = list(solve_block(_sweep_channel(), block, SPEC16))
+    assert len(solved) == 50
+    for inst, sol in solved:
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.margin > 0
+        assert sol.gap <= 1e-8 * max(1.0, sol.margin)
+        assert verify_solution(inst, sol).passed
+    for inst, sol in solved[:3]:
+        assert sol.margin == pytest.approx(margin_oracle_for_instance(inst), abs=1e-3)
 
 
 def test_unit_norm_and_positive_margin():
