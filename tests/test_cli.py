@@ -122,6 +122,21 @@ def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path, capsys):
+    cfg_file = tmp_path / "bom.cfg"
+    cfg_file.write_bytes("\ufeffusers = 2\nantennas = 2\nblock_len = 5\n".encode())
+    cfg = parse_config(cfg_file)
+    assert (cfg.users, cfg.antennas, cfg.block_len) == (2, 2, 5)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg_file), "--scheme", "ZF", "--snr-db", "10",
+                 "--channels", "2", "--out", str(out)]) == 0
+    with open(out) as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["K"] == "2" and row["M"] == "5"
+    assert main(["verify", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out.startswith("PASS slp-solver: 2 blocks of 5:")
+
+
 def test_parse_config_comments_and_schemes(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -213,6 +228,23 @@ def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, 
         assert rc == 1
         assert "x.csv" in capsys.readouterr().err
     assert main(["run", "--out", str(tmp_path)]) == 1
+
+
+def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
+    written = []
+
+    def disk_full(value):
+        if len(written) == 20:
+            raise OSError(28, "No space left on device")
+        written.append(value)
+        return str(value)
+
+    monkeypatch.setattr(cli, "_fmt", disk_full)
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+                 "--snr-db", "10,20", "--channels", "2", "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
