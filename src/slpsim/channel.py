@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# NumPy 2 loads numpy.random lazily. Loading it here, in the parent, spares
+# every forked pool worker from importing it again.
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import ConfigurationError
 
@@ -70,7 +73,7 @@ class ChannelRealization:
         return np.linalg.inv(factor)
 
 
-def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) -> ChannelRealization:
+def generate_channel(n_users: int, n_antennas: int, rng: Generator) -> ChannelRealization:
     """Draw an i.i.d. CN(0, 1) flat-fading channel, deterministic under the rng seed."""
     H = (
         rng.standard_normal((n_users, n_antennas))
@@ -79,7 +82,7 @@ def generate_channel(n_users: int, n_antennas: int, rng: np.random.Generator) ->
     return ChannelRealization(H)
 
 
-def sample_noise(sigma2: float, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. CN(0, sigma2) samples (real/imag variance sigma2/2 each)."""
     if sigma2 < 0:
         raise ConfigurationError(f"noise variance must be >= 0, got {sigma2}")
@@ -102,10 +105,10 @@ def sigma2_from_snr(snr_db: float, block_len: int, total_power: float = 1.0) -> 
     return total_power / (block_len * 10.0 ** (snr_db / 10.0))
 
 
-def trial_rng(seed: int, *subkey: int) -> np.random.Generator:
+def trial_rng(seed: int, *subkey: int) -> Generator:
     """Independent, order-insensitive random substream for one Monte Carlo trial.
 
     The (seed, subkey) pair fully determines the stream, so trials can be run
     serially or fanned out to workers with identical results.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(subkey)))
+    return default_rng(SeedSequence(seed, spawn_key=tuple(subkey)))

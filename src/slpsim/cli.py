@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from enum import Enum
 from pathlib import Path
@@ -147,12 +148,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+def _write_csv(path: Path, columns, rows):
+    """Write to a new file beside ``path``, then rename it onto ``path``: a
+    write that fails deletes the new file and leaves ``path`` as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", newline="")  # mode from the umask, as open(path, "w") gives
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(row[c]) for c in columns])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def _run_columns(cfg: LinkConfig, scheme) -> dict:
@@ -203,7 +213,7 @@ def run_experiment(cfg: LinkConfig) -> int:
 
     The output path is opened, without truncating it, before the first trial,
     so a path that cannot be written fails at once, not after the sweep. A
-    run that fails leaves no new file behind.
+    run that fails leaves no new file behind and an existing ``out`` intact.
     """
     if cfg.experiment is Experiment.F_TRACE:
         columns, make_rows = TRACE_COLUMNS, _trace_rows
@@ -214,7 +224,7 @@ def run_experiment(cfg: LinkConfig) -> int:
     with open(out, "a"):
         pass
     try:
-        _write_csv(out, columns, make_rows(cfg))
+        _write_csv(out.resolve(), columns, make_rows(cfg))  # through a symlink, onto its target
     except BaseException:
         if created:
             out.unlink()

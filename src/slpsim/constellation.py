@@ -6,7 +6,10 @@ Conventions (documented here because they fix the bit-error accounting):
     half, each mapped with a binary-reflected Gray code over the amplitude
     levels in ascending order;
   * a per-axis component is outer when its amplitude sits at the outermost
-    level of the grid, inner otherwise.
+    level of the grid, inner otherwise;
+  * the receiver decides labels, not bits: ``demodulate`` returns the Gray
+    label of each sample's nearest point, so the bit errors of a decision
+    are the set bits of (sent label XOR decided label).
 """
 
 from __future__ import annotations
@@ -126,21 +129,14 @@ def _slice_axis(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
     return idx + tie_up
 
 
-def demodulate(spec: ConstellationSpec, r):
+def demodulate(spec: ConstellationSpec, r) -> np.ndarray:
     """Hard nearest-neighbor demodulation (per-axis slicing, saturating).
 
-    Takes an array of complex samples and returns ``(points, bits)``:
-    ``points`` shaped like ``r``, and ``bits`` with a trailing axis of length
-    log2(order).
+    Takes an array of complex samples and returns the decided Gray labels,
+    integers shaped like ``r``: ``spec.points[labels]`` are the decided
+    points, and label bit ``log2(order) - 1 - i`` is the i-th decided bit.
     """
     r = np.asarray(r, dtype=complex)
     i_re = _slice_axis(spec.levels, r.real)
     i_im = _slice_axis(spec.levels, r.imag)
-    points = spec.levels[i_re] + 1j * spec.levels[i_im]
-
-    b = spec.bits_per_axis
-    labels = (_gray(i_re) << b) | _gray(i_im)
-    bps = spec.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    bits = (labels[..., None] >> shifts) & 1
-    return points, bits
+    return (_gray(i_re) << spec.bits_per_axis) | _gray(i_im)

@@ -2,9 +2,11 @@
 
 Each trial draws one channel and transmits one block of M symbol durations.
 The receiver multiplies its samples by the broadcast rescaling factor and
-slices against the nominal constellation; block-level schemes (in-block SLP,
-ZF, RZF) broadcast a single quantized factor per block, while uniform-power
-SLP needs an independently quantized factor per symbol duration.
+slices them to Gray labels of the nominal constellation; the block's bit
+errors are the set bits of (sent label XOR decided label). Block-level
+schemes (in-block SLP, ZF, RZF) broadcast a single quantized factor per
+block, while uniform-power SLP needs an independently quantized factor per
+symbol duration.
 
 Determinism contract: each (SNR index, trial index) pair gets its own random
 substream derived from the experiment seed, so results are bit-identical
@@ -44,6 +46,9 @@ MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
 # Floor applied to a quantized rescaling factor: the additive Gaussian error
 # model permits nonpositive values, which are physically meaningless.
 F_FLOOR = 1e-6
+
+# Set bits of every label value; the largest order, 256, has 8-bit labels.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(max(SUPPORTED_ORDERS))])
 
 
 class Scheme(str, Enum):
@@ -255,6 +260,7 @@ def simulate_block(
 
     bits = rng.integers(0, 2, size=(K, M, bps))
     symbols = modulate(spec, bits.reshape(-1)).reshape(K, M)
+    labels = bits @ (1 << np.arange(bps - 1, -1, -1))  # the Gray labels modulate read
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
@@ -279,10 +285,7 @@ def simulate_block(
     if cfg.quantization:
         broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
     received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
-    _, bits_hat = demodulate(spec, received.reshape(-1))
-    bits_hat = bits_hat.reshape(K, M, bps)
-
-    errors_per_user = np.count_nonzero(bits_hat != bits, axis=(1, 2))
+    errors_per_user = _POPCOUNT[labels ^ demodulate(spec, received)].sum(axis=1)
     tx_power = float(np.sum(powers * np.sum(np.abs(precoded) ** 2, axis=0)))
     return BlockResult(
         n_bit_errors=int(errors_per_user.sum()),
@@ -335,17 +338,9 @@ def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) ->
     )
     f_spread = max((b.f_spread for b in blocks), default=0.0)
     return MetricsRecord(
-        snr_db=snr_db,
-        ber=ber,
-        bler=bler,
-        bler_counted=bler_counted,
-        t_eff=t_eff,
-        n_bits=n_bits,
-        n_errors=n_errors,
-        mean_f=mean_f,
-        f_spread=f_spread,
-        n_trials=len(blocks),
-        n_failed=len(failures),
+        snr_db=snr_db, ber=ber, bler=bler, bler_counted=bler_counted, t_eff=t_eff,
+        n_bits=n_bits, n_errors=n_errors, mean_f=mean_f, f_spread=f_spread,
+        n_trials=len(blocks), n_failed=len(failures),
     )
 
 

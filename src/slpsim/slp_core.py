@@ -78,9 +78,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .channel import ChannelRealization
 from .constellation import ConstellationSpec, classify_component
@@ -183,11 +183,7 @@ def solve_block(channel: ChannelRealization, symbols, spec: ConstellationSpec):
 
 
 def _zero_solution(instance: CiInstance, status: SolverStatus) -> SlpSolution:
-    return SlpSolution(
-        x=np.zeros(instance.channel.n_antennas, dtype=complex),
-        margin=0.0,
-        status=status,
-    )
+    return SlpSolution(x=np.zeros(instance.channel.n_antennas, dtype=complex), margin=0.0, status=status)
 
 
 def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> SlpSolution:
@@ -210,6 +206,17 @@ def solve_ci_max(instance: CiInstance, opts: SolverOptions | None = None) -> Slp
     return _solve_ldp(instance, components, opts)
 
 
+@cache
+def _scipy_nnls():
+    from scipy.optimize import nnls  # SciPy loads on the first CI solve, not on import
+    return nnls
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||A u - b|| over u >= 0; RuntimeError after 10 * max(A.shape) iterations."""
+    return _scipy_nnls()(A, b, maxiter=10 * max(A.shape))[0]
+
+
 def _solve_whitened(instance: CiInstance, components: np.ndarray,
                     opts: SolverOptions) -> SlpSolution | None:
     """The whitened solve; None where it is not certified."""
@@ -220,7 +227,7 @@ def _solve_whitened(instance: CiInstance, components: np.ndarray,
     A = whitener[:, outer] * components[outer]
     if A.size:
         try:
-            s, _ = nnls(A, -z, maxiter=10 * max(A.shape))
+            s = _nnls(A, -z)
         except RuntimeError:  # nnls iteration cap
             return None
         z += A @ s
@@ -253,7 +260,7 @@ def _solve_ldp(instance: CiInstance, components: np.ndarray, opts: SolverOptions
     target = np.zeros(E.shape[0])
     target[-1] = 1.0
     try:
-        u, _ = nnls(E, target, maxiter=10 * max(E.shape))
+        u = _nnls(E, target)
     except RuntimeError:  # nnls iteration cap
         return _zero_solution(instance, SolverStatus.MAX_ITER)
     r = E @ u
@@ -314,12 +321,5 @@ def verify_solution(instance: CiInstance, sol: SlpSolution, tol: float = 1e-6) -
 
     x_norm = math.sqrt(np.vdot(sol.x, sol.x).real)
     ball = max(x_norm**2 - 1.0, 0.0)
-    norm_dev = abs(x_norm - 1.0)
-    passed = max(inner, outer, ball) <= tol
-    return ResidualReport(
-        outer=outer,
-        inner=inner,
-        ball=ball,
-        norm_dev=norm_dev,
-        passed=passed,
-    )
+    return ResidualReport(outer=outer, inner=inner, ball=ball, norm_dev=abs(x_norm - 1.0),
+                          passed=max(inner, outer, ball) <= tol)

@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +249,76 @@ def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
                  "--snr-db", "10,20", "--channels", "2", "--out", str(out)]) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_failed_write_keeps_the_out_that_was_there(tmp_path, monkeypatch, capsys):
+    written = []
+
+    def disk_full(value):
+        if len(written) == 20:
+            raise OSError(28, "No space left on device")
+        written.append(value)
+        return str(value)
+
+    out = tmp_path / "prev.csv"
+    out.write_text("previous,results\n1,2\n")
+    before = out.read_bytes()
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+            "--snr-db", "10,20", "--channels", "2", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_fmt", disk_full)
+        assert main(args) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]  # no temporary file left behind
+    # a run that succeeds replaces it, with the mode a new file gets
+    umask = os.umask(0)
+    os.umask(umask)
+    assert main(args) == 0
+    assert out.read_text().startswith(",".join(SWEEP_COLUMNS))
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_cli_writes_through_a_symlinked_out(tmp_path):
+    target = tmp_path / "results" / "sweep.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+                 "--snr-db", "10", "--channels", "1", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
+    assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
+
+def test_scipy_loads_on_the_first_ci_solve(tmp_path):
+    """What a fresh interpreter loads: SciPy's solver only for a CI solve (not
+    for a rejected config, --help or a ZF/RZF run), and numpy.random at
+    import, before any worker pool forks."""
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from slpsim import cli",
+        "loaded = lambda: 'scipy.optimize' in sys.modules",
+        "print(loaded(), 'numpy.random' in sys.modules)",
+        "args = ['--users', '2', '--antennas', '2', '--block-len', '5', '--snr-db', '10',",
+        "        '--channels', '2', '--out', sys.argv[1]]",
+        "assert cli.main(['run', *args, '--users', '0']) == 1",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):",
+        "    cli.main(['run', '--help'])",
+        "assert cli.main(['run', '--scheme', 'ZF,RZF', *args]) == 0",
+        "print(loaded())",
+        "assert cli.main(['run', '--scheme', 'SLP_IN_BLOCK', *args]) == 0",
+        "print(loaded())",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != WORKERS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "False", "True"]
 
 
 def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slpsim import link_sim
 from slpsim.constellation import (
     SUPPORTED_ORDERS,
     build_constellation,
@@ -155,6 +156,11 @@ def test_modulate_length_mismatch():
         modulate(spec, [0, 1, 0])
 
 
+def _label_bits(labels, bits_per_symbol):
+    """The bits a label carries, MSB-first, on a trailing axis."""
+    return (np.asarray(labels)[..., None] >> np.arange(bits_per_symbol - 1, -1, -1)) & 1
+
+
 @settings(max_examples=40)
 @given(
     order=st.sampled_from(SUPPORTED_ORDERS),
@@ -168,35 +174,72 @@ def test_mod_demod_roundtrip(order, data):
                  max_size=n * spec.bits_per_symbol)
     )
     syms = modulate(spec, bits)
-    points, bits_hat = demodulate(spec, syms)
-    np.testing.assert_array_equal(bits_hat.reshape(-1), np.asarray(bits))
-    np.testing.assert_allclose(points, syms)
+    labels = demodulate(spec, syms)
+    np.testing.assert_array_equal(_label_bits(labels, spec.bits_per_symbol).reshape(-1), np.asarray(bits))
+    np.testing.assert_allclose(spec.points[labels], syms)
 
 
 def test_demodulate_nearest_neighbor():
     spec = build_constellation(16)
-    [point], _ = demodulate(spec, np.array([(2.9 + 1.1j) / np.sqrt(10)]))
-    assert point == pytest.approx((3 + 1j) / np.sqrt(10))
+    [label] = demodulate(spec, np.array([(2.9 + 1.1j) / np.sqrt(10)]))
+    assert spec.points[label] == pytest.approx((3 + 1j) / np.sqrt(10))
 
 
 def test_demodulate_saturates_far_samples():
     spec = build_constellation(16)
-    [point], _ = demodulate(spec, np.array([100 + 100j]))
-    assert point == pytest.approx((3 + 3j) / np.sqrt(10))
+    [label] = demodulate(spec, np.array([100 + 100j]))
+    assert spec.points[label] == pytest.approx((3 + 3j) / np.sqrt(10))
 
 
 def test_demodulate_exact_point_and_bits_shape():
     spec = build_constellation(64)
     p = complex(spec.points[17])
-    points, bits = demodulate(spec, np.array([p]))
-    assert points.tolist() == [p]
-    assert bits.shape == (1, 6)
+    labels = demodulate(spec, np.array([p]))
+    assert labels.tolist() == [17]
+    assert spec.points[labels].tolist() == [p]
+    assert _label_bits(labels, spec.bits_per_symbol).tolist() == [[0, 1, 0, 0, 0, 1]]
+    assert demodulate(spec, np.full((3, 2), p)).shape == (3, 2)
 
 
 def test_demodulate_boundary_tie_prefers_smaller_level():
     spec = build_constellation(16)
     boundary = 2 / np.sqrt(10)
-    [point], _ = demodulate(spec, np.array([complex(boundary, boundary)]))
-    assert point == pytest.approx((1 + 1j) / np.sqrt(10))
-    [point], _ = demodulate(spec, np.array([complex(-boundary, -boundary)]))
-    assert point == pytest.approx((-1 - 1j) / np.sqrt(10))
+    [label] = demodulate(spec, np.array([complex(boundary, boundary)]))
+    assert spec.points[label] == pytest.approx((1 + 1j) / np.sqrt(10))
+    [label] = demodulate(spec, np.array([complex(-boundary, -boundary)]))
+    assert spec.points[label] == pytest.approx((-1 - 1j) / np.sqrt(10))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_label_xor_popcount_over_every_label_pair(order):
+    bps = build_constellation(order).bits_per_symbol
+    sent, decided = np.meshgrid(np.arange(order), np.arange(order))
+    differing = (_label_bits(sent, bps) != _label_bits(decided, bps)).sum(axis=-1)
+    np.testing.assert_array_equal(link_sim._POPCOUNT[sent ^ decided], differing)
+
+
+@settings(max_examples=100)
+@given(order=st.sampled_from(SUPPORTED_ORDERS), data=st.data())
+def test_label_xor_popcount_counts_the_bit_errors(order, data):
+    """The engine's error count, the set bits of (sent XOR decided label), is
+    the number of bit positions in which the decided bits differ from the sent."""
+    spec = build_constellation(order)
+    bps = spec.bits_per_symbol
+    n = data.draw(st.integers(min_value=1, max_value=20))
+    sent = np.array(data.draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n)))
+    # per axis: a random sample, a sample exactly on a decision boundary, or
+    # one far outside the grid that saturates to an outermost level
+    boundaries = (0.5 * (spec.levels[1:] + spec.levels[:-1])).tolist()
+    axis = st.one_of(
+        st.floats(-1.5, 1.5),
+        st.sampled_from(boundaries),
+        st.floats(10.0, 1e12).flatmap(lambda v: st.sampled_from([v, -v])),
+    )
+    samples = [complex(*data.draw(st.tuples(axis, axis))) for _ in range(n)]
+    decided = demodulate(spec, np.array(samples))
+    assert ((0 <= decided) & (decided < order)).all()
+
+    errors = link_sim._POPCOUNT[sent ^ decided]
+    for label_sent, label_decided, count in zip(sent.tolist(), decided.tolist(), errors.tolist()):
+        bits_sent, bits_decided = format(label_sent, f"0{bps}b"), format(label_decided, f"0{bps}b")
+        assert count == sum(a != b for a, b in zip(bits_sent, bits_decided))
