@@ -219,12 +219,12 @@ def run_experiment(cfg: LinkConfig) -> int:
         columns, make_rows = TRACE_COLUMNS, _trace_rows
     else:
         columns, make_rows = SWEEP_COLUMNS, _sweep_rows
-    out = Path(cfg.out)
+    out = Path(cfg.out).resolve()  # through a symlink, even a dangling one, onto its target
     created = not out.exists()
     with open(out, "a"):
         pass
     try:
-        _write_csv(out.resolve(), columns, make_rows(cfg))  # through a symlink, onto its target
+        _write_csv(out, columns, make_rows(cfg))
     except BaseException:
         if created:
             out.unlink()

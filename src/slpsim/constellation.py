@@ -7,9 +7,12 @@ Conventions (documented here because they fix the bit-error accounting):
     levels in ascending order;
   * a per-axis component is outer when its amplitude sits at the outermost
     level of the grid, inner otherwise;
+  * ``modulate`` reads the last axis of its bits as one symbol's log2(order)
+    bits, MSB first, and returns the labels they spell with their points;
   * the receiver decides labels, not bits: ``demodulate`` returns the Gray
     label of each sample's nearest point, so the bit errors of a decision
-    are the set bits of (sent label XOR decided label).
+    are the set bits of (sent label XOR decided label), which ``bit_errors``
+    counts.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ SUPPORTED_ORDERS = (4, 16, 64, 256)
 # Tolerance for matching a complex sample to a nominal constellation point.
 _POINT_ATOL = 1e-9
 
+# Set bits of every label value; the largest order, 256, has 8-bit labels.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(max(SUPPORTED_ORDERS))])
+
 
 @dataclass(frozen=True)
 class ConstellationSpec:
@@ -40,14 +46,11 @@ class ConstellationSpec:
     levels: np.ndarray        # ascending per-axis amplitude levels, unit-energy scale
     points: np.ndarray        # (order,) complex, indexed by bit label
 
-    @property
-    def bits_per_axis(self) -> int:
-        return self.bits_per_symbol // 2
 
-
-def _gray(i):
-    """Binary-reflected Gray code of a level index (works on ints and arrays)."""
-    return i ^ (i >> 1)
+def _label(i_re, i_im, bits_per_symbol: int):
+    """Gray label of the point at level indices (i_re, i_im), ints or arrays:
+    each index's binary-reflected Gray code, the real axis's in the high half."""
+    return ((i_re ^ (i_re >> 1)) << bits_per_symbol // 2) | (i_im ^ (i_im >> 1))
 
 
 def build_constellation(order: int) -> ConstellationSpec:
@@ -62,17 +65,14 @@ def build_constellation(order: int) -> ConstellationSpec:
         )
     side = math.isqrt(order)
     bits_per_symbol = order.bit_length() - 1
-    bits_per_axis = bits_per_symbol // 2
 
     odd = np.arange(-(side - 1), side, 2, dtype=float)
     scale = math.sqrt(2.0 * np.mean(odd**2))
     levels = odd / scale
 
+    i_re, i_im = np.divmod(np.arange(order), side)
     points = np.empty(order, dtype=complex)
-    for i_re in range(side):
-        for i_im in range(side):
-            label = (_gray(i_re) << bits_per_axis) | _gray(i_im)
-            points[label] = levels[i_re] + 1j * levels[i_im]
+    points[_label(i_re, i_im, bits_per_symbol)] = levels[i_re] + 1j * levels[i_im]
 
     return ConstellationSpec(
         order=order,
@@ -101,20 +101,19 @@ def classify_component(spec: ConstellationSpec, points) -> tuple[np.ndarray, np.
     return (i_re == 0) | (i_re == last), (i_im == 0) | (i_im == last)
 
 
-def modulate(spec: ConstellationSpec, bits) -> np.ndarray:
-    """Map a flat 0/1 bit sequence to constellation symbols.
+def modulate(spec: ConstellationSpec, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Map 0/1 bits to Gray labels and their constellation points.
 
-    The bit count must be a multiple of log2(order); each group is read
-    MSB-first as the label into the Gray map.
+    The last axis of ``bits`` holds one symbol's log2(order) bits, read
+    MSB-first as its label. Returns ``(labels, points)``, each shaped like
+    ``bits`` without that axis, with ``points == spec.points[labels]``.
     """
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
+    bits = np.asarray(bits, dtype=np.int64)
     bps = spec.bits_per_symbol
-    if bits.size % bps:
-        raise ValueError(f"bit count {bits.size} is not a multiple of {bps}")
-    groups = bits.reshape(-1, bps)
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    labels = groups @ weights
-    return spec.points[labels]
+    if bits.shape[-1:] != (bps,):
+        raise ValueError(f"the last axis of bits must hold {bps} bits, got shape {bits.shape}")
+    labels = bits @ (1 << np.arange(bps - 1, -1, -1))
+    return labels, spec.points[labels]
 
 
 def _slice_axis(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,6 +136,10 @@ def demodulate(spec: ConstellationSpec, r) -> np.ndarray:
     points, and label bit ``log2(order) - 1 - i`` is the i-th decided bit.
     """
     r = np.asarray(r, dtype=complex)
-    i_re = _slice_axis(spec.levels, r.real)
-    i_im = _slice_axis(spec.levels, r.imag)
-    return (_gray(i_re) << spec.bits_per_axis) | _gray(i_im)
+    return _label(_slice_axis(spec.levels, r.real), _slice_axis(spec.levels, r.imag),
+                  spec.bits_per_symbol)
+
+
+def bit_errors(sent, decided) -> np.ndarray:
+    """Bit errors per symbol, shaped like the labels: the set bits of (sent XOR decided)."""
+    return _POPCOUNT[np.bitwise_xor(sent, decided)]

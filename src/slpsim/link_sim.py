@@ -34,7 +34,8 @@ from .channel import (
     sigma2_from_snr,
     trial_rng,
 )
-from .constellation import ConstellationSpec, SUPPORTED_ORDERS, build_constellation, demodulate, modulate
+from .constellation import (ConstellationSpec, SUPPORTED_ORDERS, bit_errors, build_constellation,
+                            demodulate, modulate)
 from .errors import ConfigurationError, DegenerateMarginError, SolverFailure
 
 log = logging.getLogger(__name__)
@@ -46,9 +47,6 @@ MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
 # Floor applied to a quantized rescaling factor: the additive Gaussian error
 # model permits nonpositive values, which are physically meaningless.
 F_FLOOR = 1e-6
-
-# Set bits of every label value; the largest order, 256, has 8-bit labels.
-_POPCOUNT = np.array([bin(v).count("1") for v in range(max(SUPPORTED_ORDERS))])
 
 
 class Scheme(str, Enum):
@@ -256,11 +254,8 @@ def simulate_block(
     scheme = Scheme(scheme)
     spec = spec or build_constellation(cfg.modulation)
     K, M = cfg.users, cfg.block_len
-    bps = spec.bits_per_symbol
 
-    bits = rng.integers(0, 2, size=(K, M, bps))
-    symbols = modulate(spec, bits.reshape(-1)).reshape(K, M)
-    labels = bits @ (1 << np.arange(bps - 1, -1, -1))  # the Gray labels modulate read
+    labels, symbols = modulate(spec, rng.integers(0, 2, size=(K, M, spec.bits_per_symbol)))
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
@@ -285,7 +280,7 @@ def simulate_block(
     if cfg.quantization:
         broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
     received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
-    errors_per_user = _POPCOUNT[labels ^ demodulate(spec, received)].sum(axis=1)
+    errors_per_user = bit_errors(labels, demodulate(spec, received)).sum(axis=1)
     tx_power = float(np.sum(powers * np.sum(np.abs(precoded) ** 2, axis=0)))
     return BlockResult(
         n_bit_errors=int(errors_per_user.sum()),

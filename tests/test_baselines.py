@@ -59,8 +59,7 @@ def test_frobenius_normalization_gives_unit_average_power():
     prec = zf_precoder(H)
     spec = build_constellation(16)
     rng = trial_rng(3)
-    bits = rng.integers(0, 2, size=(4 * 2000 * 4,))
-    syms = modulate(spec, bits).reshape(4, 2000)
+    _, syms = modulate(spec, rng.integers(0, 2, size=(4, 2000, 4)))
     tx = prec.W @ syms
     avg_power = np.mean(np.sum(np.abs(tx) ** 2, axis=0))
     assert avg_power == pytest.approx(1.0, rel=0.02)

@@ -234,16 +234,21 @@ def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, 
     assert main(["run", "--out", str(tmp_path)]) == 1
 
 
-def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
+def _disk_full_after(n_values):
+    """A stand-in for ``cli._fmt`` that fails as a full disk does after n values."""
     written = []
 
     def disk_full(value):
-        if len(written) == 20:
+        if len(written) == n_values:
             raise OSError(28, "No space left on device")
         written.append(value)
         return str(value)
 
-    monkeypatch.setattr(cli, "_fmt", disk_full)
+    return disk_full
+
+
+def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_fmt", _disk_full_after(20))
     out = tmp_path / "partial.csv"
     assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
                  "--snr-db", "10,20", "--channels", "2", "--out", str(out)]) == 1
@@ -252,21 +257,13 @@ def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_failed_write_keeps_the_out_that_was_there(tmp_path, monkeypatch, capsys):
-    written = []
-
-    def disk_full(value):
-        if len(written) == 20:
-            raise OSError(28, "No space left on device")
-        written.append(value)
-        return str(value)
-
     out = tmp_path / "prev.csv"
     out.write_text("previous,results\n1,2\n")
     before = out.read_bytes()
     args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
             "--snr-db", "10,20", "--channels", "2", "--out", str(out)]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_fmt", disk_full)
+        patch.setattr(cli, "_fmt", _disk_full_after(20))
         assert main(args) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_bytes() == before
@@ -291,6 +288,26 @@ def test_cli_writes_through_a_symlinked_out(tmp_path):
     assert link.is_symlink()
     assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
     assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
+
+def test_cli_out_through_a_dangling_symlink(tmp_path, monkeypatch, capsys):
+    """A failed run keeps the link and leaves no target; a run that succeeds
+    creates the target through the link."""
+    target = tmp_path / "target.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+            "--snr-db", "10,20", "--channels", "2", "--out", str(link)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_fmt", _disk_full_after(20))
+        assert main(args) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert link.is_symlink()
+    assert list(tmp_path.iterdir()) == [link]
+    assert main(args) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
 
 def test_scipy_loads_on_the_first_ci_solve(tmp_path):

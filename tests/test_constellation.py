@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slpsim import link_sim
 from slpsim.constellation import (
     SUPPORTED_ORDERS,
+    bit_errors,
     build_constellation,
     classify_component,
     demodulate,
@@ -139,14 +139,16 @@ def test_classify_matches_the_distance_matrix_rule(order):
 def test_modulate_label_zero():
     # all-zero bits map to the lowest level on both axes under the Gray map
     spec = build_constellation(16)
-    sym = modulate(spec, [0, 0, 0, 0])
-    assert sym[0] == spec.points[0]
-    assert sym[0] == complex(spec.levels[0], spec.levels[0])
+    label, point = modulate(spec, [0, 0, 0, 0])
+    assert label == 0
+    assert point == spec.points[0]
+    assert point == complex(spec.levels[0], spec.levels[0])
 
 
 def test_modulate_qpsk_bijective():
     spec = build_constellation(4)
-    syms = modulate(spec, [0, 0, 0, 1, 1, 1, 1, 0])
+    labels, syms = modulate(spec, [[0, 0], [0, 1], [1, 1], [1, 0]])
+    assert labels.tolist() == [0, 1, 3, 2]
     assert len(set(syms)) == 4
 
 
@@ -173,10 +175,17 @@ def test_mod_demod_roundtrip(order, data):
         st.lists(st.integers(0, 1), min_size=n * spec.bits_per_symbol,
                  max_size=n * spec.bits_per_symbol)
     )
-    syms = modulate(spec, bits)
-    labels = demodulate(spec, syms)
-    np.testing.assert_array_equal(_label_bits(labels, spec.bits_per_symbol).reshape(-1), np.asarray(bits))
+    bits = np.reshape(bits, (n, spec.bits_per_symbol))
+    labels, syms = modulate(spec, bits)
+    np.testing.assert_array_equal(demodulate(spec, syms), labels)
+    np.testing.assert_array_equal(_label_bits(labels, spec.bits_per_symbol), bits)
     np.testing.assert_allclose(spec.points[labels], syms)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_demodulate_decides_every_point_as_its_own_label(order):
+    spec = build_constellation(order)
+    np.testing.assert_array_equal(demodulate(spec, spec.points), np.arange(order))
 
 
 def test_demodulate_nearest_neighbor():
@@ -215,7 +224,7 @@ def test_label_xor_popcount_over_every_label_pair(order):
     bps = build_constellation(order).bits_per_symbol
     sent, decided = np.meshgrid(np.arange(order), np.arange(order))
     differing = (_label_bits(sent, bps) != _label_bits(decided, bps)).sum(axis=-1)
-    np.testing.assert_array_equal(link_sim._POPCOUNT[sent ^ decided], differing)
+    np.testing.assert_array_equal(bit_errors(sent, decided), differing)
 
 
 @settings(max_examples=100)
@@ -239,7 +248,7 @@ def test_label_xor_popcount_counts_the_bit_errors(order, data):
     decided = demodulate(spec, np.array(samples))
     assert ((0 <= decided) & (decided < order)).all()
 
-    errors = link_sim._POPCOUNT[sent ^ decided]
+    errors = bit_errors(sent, decided)
     for label_sent, label_decided, count in zip(sent.tolist(), decided.tolist(), errors.tolist()):
         bits_sent, bits_decided = format(label_sent, f"0{bps}b"), format(label_decided, f"0{bps}b")
         assert count == sum(a != b for a, b in zip(bits_sent, bits_decided))
