@@ -86,7 +86,6 @@ _FIELDS = {
     "block_len": (int, "--block-len"),
     "modulation": (int, "--mod"),
     "schemes": (_parse_schemes, "--scheme"),
-    "total_power": (float, None),
     "snr_db": (parse_snr_values, "--snr-db"),
     "feedback_bits": (int, "--bits-feedback"),
     "f_max": (float, None),

@@ -107,11 +107,14 @@ def modulate(spec: ConstellationSpec, bits) -> tuple[np.ndarray, np.ndarray]:
     The last axis of ``bits`` holds one symbol's log2(order) bits, read
     MSB-first as its label. Returns ``(labels, points)``, each shaped like
     ``bits`` without that axis, with ``points == spec.points[labels]``.
+    Raises ValueError for an entry other than 0 or 1.
     """
     bits = np.asarray(bits, dtype=np.int64)
     bps = spec.bits_per_symbol
     if bits.shape[-1:] != (bps,):
         raise ValueError(f"the last axis of bits must hold {bps} bits, got shape {bits.shape}")
+    if np.bitwise_or.reduce(bits, axis=None) & ~1:  # a set bit above bit 0: not all 0 or 1
+        raise ValueError(f"bits must be 0 or 1, got {bits[(bits != 0) & (bits != 1)][0]}")
     labels = bits @ (1 << np.arange(bps - 1, -1, -1))
     return labels, spec.points[labels]
 

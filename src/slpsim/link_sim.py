@@ -48,6 +48,9 @@ MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
 # model permits nonpositive values, which are physically meaningless.
 F_FLOOR = 1e-6
 
+# Block power budget P_T. Errors depend on it only through f_max * P_T.
+P_T = 1.0
+
 
 class Scheme(str, Enum):
     SLP_IN_BLOCK = "SLP_IN_BLOCK"
@@ -62,7 +65,6 @@ BLOCK_LEVEL_SCHEMES = frozenset({Scheme.SLP_IN_BLOCK, Scheme.ZF, Scheme.RZF})
 
 class Experiment(str, Enum):
     BER_SWEEP = "BER_SWEEP"
-    THROUGHPUT_SWEEP = "THROUGHPUT_SWEEP"
     F_TRACE = "F_TRACE"
 
 
@@ -75,7 +77,6 @@ class LinkConfig:
     block_len: int = 50
     modulation: int = 16
     schemes: tuple = tuple(Scheme)
-    total_power: float = 1.0
     snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     feedback_bits: int = 5
     f_max: float = 1.0
@@ -109,22 +110,20 @@ class LinkConfig:
             ) from exc
         if not 1 <= self.feedback_bits <= MAX_FEEDBACK_BITS:
             raise ConfigurationError(f"feedback_bits must be in 1..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
-        for key in ("f_max", "total_power"):
-            if not 0 < getattr(self, key) < math.inf:  # also rejects nan
-                raise ConfigurationError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if not 0 < self.f_max < math.inf:  # also rejects nan
+            raise ConfigurationError(f"f_max must be finite and > 0, got {self.f_max}")
         if not self.snr_db:
             raise ConfigurationError("snr_db grid is empty")
         # inf is zero noise; any other value needs a finite noise variance > 0,
         # which nan, -inf and finite values far enough out do not give
         for v in self.snr_db:
             try:
-                sigma2 = sigma2_from_snr(v, self.block_len, self.total_power)
+                sigma2 = sigma2_from_snr(v, self.block_len)
             except (OverflowError, ZeroDivisionError):
                 sigma2 = math.nan
             if v != math.inf and not 0 < sigma2 < math.inf:
                 raise ConfigurationError(
-                    f"snr_db value {v} gives no finite noise variance > 0 at "
-                    f"block_len={self.block_len}, total_power={self.total_power}"
+                    f"snr_db value {v} gives no finite noise variance > 0 at block_len={self.block_len}"
                 )
         # a repeated scheme would rerun its sweep, a repeated SNR value would
         # rerun the point on another substream; both would write a second row
@@ -261,17 +260,17 @@ def simulate_block(
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
         precoded, margins = _slp_transmit(cfg, channel, symbols, spec)
         if scheme is Scheme.SLP_IN_BLOCK:
-            powers = power_alloc.allocate_in_block(margins, cfg.total_power).powers
+            powers = power_alloc.allocate_in_block(margins, P_T).powers
         else:
-            powers = power_alloc.allocate_uniform(M, cfg.total_power)
+            powers = power_alloc.allocate_uniform(M, P_T)
         f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
     else:
         if scheme is Scheme.ZF:
             prec = baselines.zf_precoder(channel.H)
         else:
-            prec = baselines.rzf_precoder(channel.H, sigma2, M, cfg.total_power)
+            prec = baselines.rzf_precoder(channel.H, sigma2, M, P_T)
         precoded = prec.W @ symbols
-        powers = power_alloc.allocate_uniform(M, cfg.total_power)
+        powers = power_alloc.allocate_uniform(M, P_T)
         f_ideal = np.full(M, baselines.baseline_rescaling(prec, powers[0]))
 
     # A block-level scheme's factors are equal over the block, so its first
@@ -362,12 +361,15 @@ def run_monte_carlo(cfg: LinkConfig, scheme: Scheme, return_trials: bool = False
     scheme = Scheme(scheme)
     spec = build_constellation(cfg.modulation)
     n_workers = _worker_count()
+    pooled = n_workers > 1 and cfg.channels > 1
+    if pooled and scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
+        slp_core._scipy_nnls()  # import SciPy once, before the forks, not in every worker
     records = []
     per_snr_trials = []
     for i, snr_db in enumerate(cfg.snr_db):
-        sigma2 = sigma2_from_snr(snr_db, cfg.block_len, cfg.total_power)
+        sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
         task = partial(_run_trial, cfg, scheme, spec, i, sigma2)
-        if n_workers > 1 and cfg.channels > 1:
+        if pooled:
             chunk = max(1, cfg.channels // (4 * n_workers))
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 results = list(pool.map(task, range(cfg.channels), chunksize=chunk))

@@ -49,7 +49,6 @@ def test_parse_config_defaults(tmp_path):
     assert spec.users == 4 and spec.block_len == 50
     assert spec.feedback_bits == 5
     assert spec.f_max == 1.0
-    assert spec.total_power == 1.0
     assert spec.modulation == 16
     assert len(spec.schemes) == 4
 
@@ -176,7 +175,7 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     # flag values are read by the config-file parsers, and usage errors are
     # configuration errors too
     for bad in (["--users", "abc"], ["--channels", "1.5"], ["--mod", "x"],
-                ["--experiment", "FOO"], ["--bogus", "1"]):
+                ["--experiment", "FOO"], ["--experiment", "THROUGHPUT_SWEEP"], ["--bogus", "1"]):
         assert main(["run", *bad, "--out", str(tmp_path / "x.csv")]) == 1, bad
         assert bad[0].lstrip("-") in capsys.readouterr().err.lower()
     assert main([]) == 1
@@ -189,9 +188,10 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert help_exit.value.code == 0
 
 
+# total_power is not a key (the budget is fixed): the parser names it
 @pytest.mark.parametrize("line, flags", [
-    ("f_max = nan", []), ("f_max = inf", []), ("total_power = nan", []),
-    ("total_power = inf", []), ("", ["--bits-feedback", "2000"]),
+    ("f_max = nan", []), ("f_max = inf", []), ("total_power = 1", []),
+    ("", ["--bits-feedback", "2000"]),
 ])
 def test_cli_non_finite_power_or_huge_feedback_exits_1(tmp_path, capsys, line, flags):
     cfg_file = tmp_path / "exp.cfg"
@@ -338,6 +338,35 @@ def test_scipy_loads_on_the_first_ci_solve(tmp_path):
     assert proc.stdout.split() == ["False", "True", "False", "True"]
 
 
+def test_scipy_is_loaded_before_an_slp_pool_forks():
+    """A pooled SLP sweep imports SciPy once, in the parent, so no worker of
+    any pool imports it again; a pooled ZF/RZF sweep never loads it."""
+    script = "\n".join([
+        "import sys",
+        "from slpsim import link_sim",
+        "seen = []",
+        "class Recording(link_sim.ProcessPoolExecutor):",
+        "    def __init__(self, *args, **kwargs):",
+        "        seen.append('scipy.optimize' in sys.modules)",
+        "        super().__init__(*args, **kwargs)",
+        "link_sim.ProcessPoolExecutor = Recording",
+        "cfg = link_sim.LinkConfig(users=2, antennas=2, block_len=5, snr_db=(10.0, 20.0),",
+        "                          channels=3)",
+        "for schemes in (('ZF', 'RZF'), ('SLP_IN_BLOCK', 'SLP_UNIFORM')):",
+        "    for scheme in schemes:",
+        "        link_sim.run_monte_carlo(cfg, scheme)",
+        "    print(*seen)",
+        "    seen.clear()",
+    ])
+    env = {**os.environ, WORKERS_ENV: "2"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False False False False", "True True True True"]
+
+
 def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
     def singular(channel):
         raise np.linalg.LinAlgError("injected singular channel")
@@ -402,6 +431,38 @@ def test_cli_f_trace(tmp_path):
             assert np.ptp(f) > 1e-3 * f[0]
     # each block is a different channel draw
     assert len({blocks[key][0] for key in blocks if key[0] == "SLP_IN_BLOCK"}) == 4
+
+
+def test_cli_f_trace_drops_a_failed_trials_rows(tmp_path, monkeypatch, caplog):
+    original = baselines.zf_precoder
+    calls = []
+
+    def fails_on_the_second_call(H):
+        calls.append(H)
+        if len(calls) == 2:  # ZF at 10 dB, block 1
+            raise np.linalg.LinAlgError("injected singular channel")
+        return original(H)
+
+    monkeypatch.setattr(baselines, "zf_precoder", fails_on_the_second_call)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--experiment", "F_TRACE", "--scheme", "ZF,RZF", "--users", "2",
+                 "--antennas", "2", "--block-len", "4", "--snr-db", "10,20",
+                 "--channels", "3", "--out", str(out)]) == 0
+    assert "trial discarded (scheme=ZF, snr=10.0 dB, seed=1, trial=1)" in caplog.text
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    blocks = {}
+    for r in rows:
+        blocks.setdefault((r["scheme"], r["snr_db"], r["block"]), []).append(r["symbol"])
+    assert sorted(blocks) == sorted(
+        (scheme, snr, block)
+        for scheme in ("ZF", "RZF")
+        for snr in ("10.0", "20.0")
+        for block in ("0", "1", "2")
+        if (scheme, snr, block) != ("ZF", "10.0", "1")
+    )
+    assert all(symbols == ["0", "1", "2", "3"] for symbols in blocks.values())
 
 
 def test_cli_f_trace_is_the_same_at_every_worker_count(tmp_path, monkeypatch):

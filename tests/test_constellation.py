@@ -158,6 +158,17 @@ def test_modulate_length_mismatch():
         modulate(spec, [0, 1, 0])
 
 
+@pytest.mark.parametrize("bits, entry", [
+    ([0, 0, 0, -1], "-1"),  # would index label -1, that is label 15's point
+    ([0, 0, 0, 2], "2"),    # would carry into label 2
+    ([2, 0, 0, 0], "2"),    # would index past the 16-point table
+])
+def test_modulate_rejects_entries_other_than_0_or_1(bits, entry):
+    spec = build_constellation(16)
+    with pytest.raises(ValueError, match=f"bits must be 0 or 1, got {entry}$"):
+        modulate(spec, bits)
+
+
 def _label_bits(labels, bits_per_symbol):
     """The bits a label carries, MSB-first, on a trailing axis."""
     return (np.asarray(labels)[..., None] >> np.arange(bits_per_symbol - 1, -1, -1)) & 1
