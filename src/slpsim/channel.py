@@ -90,8 +90,11 @@ def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     if sigma2 == 0.0:
         return np.zeros(count, dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    noise = np.empty(count, dtype=complex)
+    noise.real = rng.standard_normal(count)
+    noise.imag = rng.standard_normal(count)
+    noise *= np.sqrt(sigma2 / 2.0)
+    return noise
 
 
 def sigma2_from_snr(snr_db: float, block_len: int, total_power: float = 1.0) -> float:

@@ -12,7 +12,11 @@ Conventions (documented here because they fix the bit-error accounting):
   * the receiver decides labels, not bits: ``demodulate`` returns the Gray
     label of each sample's nearest point, so the bit errors of a decision
     are the set bits of (sent label XOR decided label), which ``bit_errors``
-    counts.
+    counts;
+  * an axis is sliced by the sign of x and the count of positive decision
+    boundaries (midpoints of adjacent levels) strictly below |x|, exact as the
+    levels are sign-symmetric: a tie goes to the smaller magnitude, +-0 to
+    the level just below 0, and a sample beyond the grid to an outermost level.
 """
 
 from __future__ import annotations
@@ -38,19 +42,17 @@ class ConstellationSpec:
     """Immutable square-QAM geometry with Gray bit mapping.
 
     ``points[label]`` is the constellation point carrying bit label ``label``
-    (an integer reading the bit group MSB-first).
+    (an integer reading the bit group MSB-first). An axis component x slices
+    to the key ``(x > 0) * side/2 + (count of boundaries strictly below |x|)``.
     """
 
     order: int
     bits_per_symbol: int
     levels: np.ndarray        # ascending per-axis amplitude levels, unit-energy scale
     points: np.ndarray        # (order,) complex, indexed by bit label
-
-
-def _label(i_re, i_im, bits_per_symbol: int):
-    """Gray label of the point at level indices (i_re, i_im), ints or arrays:
-    each index's binary-reflected Gray code, the real axis's in the high half."""
-    return ((i_re ^ (i_re >> 1)) << bits_per_symbol // 2) | (i_im ^ (i_im >> 1))
+    boundaries: np.ndarray    # the positive decision boundaries, ascending
+    key_levels: np.ndarray    # the decided level index per key
+    key_codes: np.ndarray     # its Gray code per key, uint8
 
 
 def build_constellation(order: int) -> ConstellationSpec:
@@ -64,22 +66,38 @@ def build_constellation(order: int) -> ConstellationSpec:
             f"unsupported modulation order {order}; expected one of {SUPPORTED_ORDERS}"
         )
     side = math.isqrt(order)
+    half = side // 2
     bits_per_symbol = order.bit_length() - 1
 
     odd = np.arange(-(side - 1), side, 2, dtype=float)
     scale = math.sqrt(2.0 * np.mean(odd**2))
     levels = odd / scale
 
+    gray = np.arange(side) ^ (np.arange(side) >> 1)  # per level index; real axis in the high half
     i_re, i_im = np.divmod(np.arange(order), side)
     points = np.empty(order, dtype=complex)
-    points[_label(i_re, i_im, bits_per_symbol)] = levels[i_re] + 1j * levels[i_im]
+    points[(gray[i_re] << bits_per_symbol // 2) | gray[i_im]] = levels[i_re] + 1j * levels[i_im]
 
+    # key k < half: k levels below the lower middle one; key half + k: above the upper
+    key_levels = np.concatenate([np.arange(half - 1, -1, -1), np.arange(half, side)])
     return ConstellationSpec(
         order=order,
         bits_per_symbol=bits_per_symbol,
         levels=levels,
         points=points,
+        boundaries=0.5 * (levels[half + 1:] + levels[half:-1]),
+        key_levels=key_levels,
+        key_codes=gray[key_levels].astype(np.uint8),
     )
+
+
+def _slice_keys(spec: ConstellationSpec, x: np.ndarray) -> np.ndarray:
+    """The slicer key of each component in ``x``, uint8 (see ConstellationSpec)."""
+    a = np.abs(x)
+    key = (x > 0).view(np.uint8) * (spec.boundaries.size + 1)
+    for boundary in spec.boundaries:
+        key += (a > boundary).view(np.uint8)
+    return key
 
 
 def classify_component(spec: ConstellationSpec, points) -> tuple[np.ndarray, np.ndarray]:
@@ -91,8 +109,8 @@ def classify_component(spec: ConstellationSpec, points) -> tuple[np.ndarray, np.
     can be within 1e-9 of; an axis is outer at the first or last level.
     """
     points = np.asarray(points, dtype=complex)
-    i_re = _slice_axis(spec.levels, points.real)
-    i_im = _slice_axis(spec.levels, points.imag)
+    i_re = spec.key_levels[_slice_keys(spec, points.real)]
+    i_im = spec.key_levels[_slice_keys(spec, points.imag)]
     member = np.abs(points - (spec.levels[i_re] + 1j * spec.levels[i_im])) <= _POINT_ATOL
     if not member.all():
         foreign = complex(points[~member][0])
@@ -109,7 +127,12 @@ def modulate(spec: ConstellationSpec, bits) -> tuple[np.ndarray, np.ndarray]:
     ``bits`` without that axis, with ``points == spec.points[labels]``.
     Raises ValueError for an entry other than 0 or 1.
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "biu":  # 0.5 would truncate to a valid 0 in the cast
+        stray = bits[(bits != 0) & (bits != 1)]
+        if stray.size:
+            raise ValueError(f"bits must be 0 or 1, got {stray[0]}")
+    bits = bits.astype(np.int64, copy=False)
     bps = spec.bits_per_symbol
     if bits.shape[-1:] != (bps,):
         raise ValueError(f"the last axis of bits must hold {bps} bits, got shape {bits.shape}")
@@ -119,28 +142,20 @@ def modulate(spec: ConstellationSpec, bits) -> tuple[np.ndarray, np.ndarray]:
     return labels, spec.points[labels]
 
 
-def _slice_axis(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Nearest-level index per sample; exact boundary ties go to the smaller level."""
-    boundaries = 0.5 * (levels[1:] + levels[:-1])
-    idx = np.searchsorted(boundaries, x, side="left")
-    # side="left" sends a sample sitting exactly on a boundary to the level
-    # below it, which is the smaller-magnitude one when the boundary is >= 0.
-    # For negative boundaries the smaller-magnitude level is the one above.
-    j = np.clip(idx, 0, boundaries.size - 1)
-    tie_up = (x == boundaries[j]) & (boundaries[j] < 0)
-    return idx + tie_up
-
-
 def demodulate(spec: ConstellationSpec, r) -> np.ndarray:
     """Hard nearest-neighbor demodulation (per-axis slicing, saturating).
 
     Takes an array of complex samples and returns the decided Gray labels,
     integers shaped like ``r``: ``spec.points[labels]`` are the decided
     points, and label bit ``log2(order) - 1 - i`` is the i-th decided bit.
+    Raises ValueError for a sample that is not finite.
     """
     r = np.asarray(r, dtype=complex)
-    return _label(_slice_axis(spec.levels, r.real), _slice_axis(spec.levels, r.imag),
-                  spec.bits_per_symbol)
+    if not np.isfinite(r).all():
+        raise ValueError(f"samples must be finite, got {r[~np.isfinite(r)][0]}")
+    codes = spec.key_codes  # uint8 holds every label: at most 8 bits
+    high = codes[_slice_keys(spec, r.real)] << spec.bits_per_symbol // 2
+    return (high | codes[_slice_keys(spec, r.imag)]).astype(np.intp)
 
 
 def bit_errors(sent, decided) -> np.ndarray:

@@ -214,6 +214,8 @@ def _scipy_nnls():
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||A u - b|| over u >= 0; RuntimeError after 10 * max(A.shape) iterations."""
+    if not A.shape[1]:  # SciPy's nnls aborts the interpreter on a matrix without columns
+        return np.zeros(0)
     return _scipy_nnls()(A, b, maxiter=10 * max(A.shape))[0]
 
 
@@ -225,12 +227,11 @@ def _solve_whitened(instance: CiInstance, components: np.ndarray,
     # z = L^-1 (c * a) with a_outer = 1 + s: minimize ||z|| over s >= 0
     z = whitener @ components
     A = whitener[:, outer] * components[outer]
-    if A.size:
-        try:
-            s = _nnls(A, -z)
-        except RuntimeError:  # nnls iteration cap
-            return None
-        z += A @ s
+    try:
+        s = _nnls(A, -z)
+    except RuntimeError:  # nnls iteration cap
+        return None
+    z += A @ s
     # w = S^T y for y = L^-T z; c * y are the multipliers, on the outer rows
     # the NNLS gradient, nonnegative up to rounding. Without positive mass
     # they certify nothing (gap inf).

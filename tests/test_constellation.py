@@ -162,11 +162,20 @@ def test_modulate_length_mismatch():
     ([0, 0, 0, -1], "-1"),  # would index label -1, that is label 15's point
     ([0, 0, 0, 2], "2"),    # would carry into label 2
     ([2, 0, 0, 0], "2"),    # would index past the 16-point table
+    ([0.5, 0, 0, 1.7], "0.5"),  # an int64 cast would read it as label 1
+    ([0, 0, 0, np.nan], "nan"),
+    ([0, 0, 1j, 0], "1j"),
 ])
 def test_modulate_rejects_entries_other_than_0_or_1(bits, entry):
     spec = build_constellation(16)
     with pytest.raises(ValueError, match=f"bits must be 0 or 1, got {entry}$"):
         modulate(spec, bits)
+
+
+def test_modulate_takes_whole_floats_and_bools():
+    spec = build_constellation(16)
+    assert modulate(spec, [0.0, 1.0, 1.0, 0.0])[0] == 6
+    assert modulate(spec, [False, True, True, False])[0] == 6
 
 
 def _label_bits(labels, bits_per_symbol):
@@ -228,6 +237,47 @@ def test_demodulate_boundary_tie_prefers_smaller_level():
     assert spec.points[label] == pytest.approx((1 + 1j) / np.sqrt(10))
     [label] = demodulate(spec, np.array([complex(-boundary, -boundary)]))
     assert spec.points[label] == pytest.approx((-1 - 1j) / np.sqrt(10))
+
+
+def _nearest_level(levels, x):
+    """Brute force over every pair of levels: level i beats level j when x lies
+    on i's side of the pair's rounded midpoint 0.5 * (l_i + l_j), or on it
+    with |l_i| < |l_j|, or at 0 between -a and a with l_i = -a. The nearest
+    level beats every other. Comparing at the rounded midpoint, the
+    receiver's boundary, keeps the tie rule at midpoints that round an ulp
+    off the exact one; float |x - l| would also misjudge 5e-324 and 1e300."""
+    def beats(a, b):
+        boundary = 0.5 * (a + b)
+        if x != boundary:
+            return (x > boundary) == (a > b)
+        return (abs(a), a) < (abs(b), b)
+    [nearest] = [i for i, a in enumerate(levels)
+                 if all(beats(a, b) for j, b in enumerate(levels) if j != i)]
+    return nearest
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_demodulate_matches_the_brute_force_nearest_level(order):
+    spec = build_constellation(order)
+    levels = spec.levels
+    boundaries = 0.5 * (levels[1:] + levels[:-1])
+    x = np.concatenate([
+        np.random.default_rng(order).standard_normal(300),
+        levels, boundaries, np.nextafter(boundaries, -np.inf), np.nextafter(boundaries, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+    ])
+    expected = levels[[_nearest_level(levels.tolist(), v) for v in x.tolist()]]
+    # x on each axis in turn, beside a fixed level on the other
+    np.testing.assert_array_equal(spec.points[demodulate(spec, x + 1j * levels[0])].real, expected)
+    np.testing.assert_array_equal(spec.points[demodulate(spec, levels[-1] + 1j * x)].imag, expected)
+
+
+@pytest.mark.parametrize("sample", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                    complex(np.inf, 0.0), complex(0.0, -np.inf)])
+def test_demodulate_rejects_a_non_finite_sample(sample):
+    spec = build_constellation(16)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        demodulate(spec, np.array([0.1 + 0.1j, sample]))
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)

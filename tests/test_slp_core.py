@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from slpsim import slp_core
 from slpsim.channel import ChannelRealization, generate_channel, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from slpsim.link_sim import LinkConfig, _slp_transmit
@@ -369,3 +375,19 @@ def test_verify_degenerate_zero_point():
     assert report.ball == 0.0
     assert report.passed
     assert report.norm_dev == 1.0
+
+
+def test_nnls_of_a_matrix_without_columns_is_empty():
+    """An all-inner block has no outer columns. SciPy's nnls aborts the
+    interpreter on such a matrix (SciPy 1.17.1: a double free, exit 134), so
+    ``_nnls`` answers it itself. It runs in a child process, so a regression
+    fails this test instead of killing the test run."""
+    script = ("import numpy as np; from slpsim.slp_core import _nnls; "
+              "print(_nnls(np.zeros((8, 0)), np.ones(8)).shape)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(slp_core.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["(0,)"]
