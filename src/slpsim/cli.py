@@ -7,6 +7,7 @@ failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -148,10 +149,14 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, columns, rows):
-    """Write to a new file beside ``path``, then rename it onto ``path``: a
-    write that fails deletes the new file and leaves ``path`` as it was."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", newline="")  # mode from the umask, as open(path, "w") gives
+    """Write rows, as they are made, to a new file beside ``path``, then rename
+    it onto ``path``: a run that fails deletes the new file and leaves
+    ``path`` as it was."""
+    tmp = path.with_name(f".slpsim-{os.getpid()}.tmp")  # short whatever the length of path.name
+    try:
+        fh = open(tmp, "x", newline="")  # mode from the umask, as open(path, "w") gives
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             writer = csv.writer(fh)
@@ -178,56 +183,46 @@ def _run_columns(cfg: LinkConfig, scheme) -> dict:
     }
 
 
-def _sweep_rows(cfg: LinkConfig) -> list:
-    return [
-        {**_run_columns(cfg, scheme), **vars(record)}
-        for scheme in cfg.schemes
-        for record in run_monte_carlo(cfg, scheme)
-    ]
+def _sweep_rows(cfg: LinkConfig):
+    for scheme in cfg.schemes:
+        for record in run_monte_carlo(cfg, scheme):
+            yield {**_run_columns(cfg, scheme), **vars(record)}
 
 
-def _trace_rows(cfg: LinkConfig) -> list:
+def _trace_rows(cfg: LinkConfig):
     """Per-symbol ideal rescaling factors of every block the sweep transmits.
 
     One block per scheme, SNR point and channel, from the sweep's substreams;
     ``block`` is its trial index. Failed trials are discarded as in a sweep.
     """
-    rows = []
     for scheme in cfg.schemes:
         _, per_snr_trials = run_monte_carlo(cfg, scheme, return_trials=True)
         for snr_db, trials in zip(cfg.snr_db, per_snr_trials):
             for trial, block in enumerate(trials):
                 if not isinstance(block, BlockResult):
                     continue
-                rows.extend(
-                    {**_run_columns(cfg, scheme), "snr_db": snr_db, "block": trial,
-                     "symbol": m, "f": float(f_value)}
-                    for m, f_value in enumerate(block.f_ideal)
-                )
-    return rows
+                for m, f_value in enumerate(block.f_ideal):
+                    yield {**_run_columns(cfg, scheme), "snr_db": snr_db, "block": trial,
+                           "symbol": m, "f": float(f_value)}
 
 
 def run_experiment(cfg: LinkConfig) -> int:
     """Run the configured experiment and write its CSV. Returns 0 on success.
 
-    The output path is opened, without truncating it, before the first trial,
-    so a path that cannot be written fails at once, not after the sweep. A
-    run that fails leaves no new file behind and an existing ``out`` intact.
+    Rows go, as each scheme's sweep makes them, to a temporary file beside
+    ``out`` that is renamed onto it on success. An ``out`` that is a
+    directory or a file this user may not write, and a missing directory,
+    fail before the first trial. A run that fails leaves no new file behind
+    and an existing ``out`` intact.
     """
     if cfg.experiment is Experiment.F_TRACE:
         columns, make_rows = TRACE_COLUMNS, _trace_rows
     else:
         columns, make_rows = SWEEP_COLUMNS, _sweep_rows
     out = Path(cfg.out).resolve()  # through a symlink, even a dangling one, onto its target
-    created = not out.exists()
-    with open(out, "a"):
-        pass
-    try:
-        _write_csv(out, columns, make_rows(cfg))
-    except BaseException:
-        if created:
-            out.unlink()
-        raise
+    with contextlib.suppress(FileNotFoundError):  # a new out is made by the rename
+        os.close(os.open(out, os.O_WRONLY))  # a directory or an unwritable file fails here
+    _write_csv(out, columns, make_rows(cfg))
     return 0
 
 

@@ -151,7 +151,6 @@ class BlockResult:
     n_bit_errors: int
     n_user_block_errors: int
     f_ideal: np.ndarray           # pre-quantization rescaling factor per symbol
-    tx_power: float               # sum_m p_m * ||x_m||^2 actually spent
 
     @property
     def f_spread(self) -> float:
@@ -280,12 +279,10 @@ def simulate_block(
         broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
     received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
     errors_per_user = bit_errors(labels, demodulate(spec, received)).sum(axis=1)
-    tx_power = float(np.sum(powers * np.sum(np.abs(precoded) ** 2, axis=0)))
     return BlockResult(
         n_bit_errors=int(errors_per_user.sum()),
         n_user_block_errors=int(np.count_nonzero(errors_per_user)),
         f_ideal=f_ideal,
-        tx_power=tx_power,
     )
 
 

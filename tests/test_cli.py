@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slpsim import baselines, cli, slp_core
+from slpsim import baselines, cli, link_sim, slp_core
 from slpsim.cli import (
     _FIELDS,
     SWEEP_COLUMNS,
@@ -308,6 +308,74 @@ def test_cli_out_through_a_dangling_symlink(tmp_path, monkeypatch, capsys):
     assert link.is_symlink()
     assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_cli_writes_an_out_with_a_251_character_name(tmp_path):
+    out = tmp_path / ("x" * 247 + ".csv")
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+                 "--snr-db", "10", "--channels", "1", "--out", str(out)]) == 0
+    assert out.read_text().startswith(",".join(SWEEP_COLUMNS))
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_cli_read_only_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_trials)
+    out = tmp_path / "kept.csv"
+    out.write_text("previous,results\n")
+    out.chmod(0o444)
+    assert main(["run", "--scheme", "ZF", "--out", str(out)]) == 1
+    assert "kept.csv" in capsys.readouterr().err
+    assert out.read_text() == "previous,results\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_failing_last_scheme_keeps_the_out_that_was_there(tmp_path, monkeypatch, capsys):
+    formatted = []
+    monkeypatch.setattr(cli, "_fmt", lambda value: formatted.append(value) or str(value))
+    rows_before_failure = []
+
+    def singular(channel):
+        rows_before_failure.append(len(formatted))
+        raise np.linalg.LinAlgError("injected singular channel")
+
+    monkeypatch.setattr(baselines, "zf_precoder", singular)
+    out = tmp_path / "prev.csv"
+    out.write_text("previous,results\n1,2\n")
+    before = out.read_bytes()
+    assert main(["run", "--scheme", "RZF,ZF", "--users", "2", "--antennas", "2",
+                 "--block-len", "5", "--snr-db", "10,20", "--channels", "2",
+                 "--out", str(out)]) == 2
+    assert "injected singular channel" in capsys.readouterr().err
+    assert rows_before_failure[0] == 2 * len(SWEEP_COLUMNS)  # the two RZF rows
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_f_trace_formats_rows_before_the_last_block(tmp_path, monkeypatch):
+    original = link_sim.simulate_block
+    blocks, blocks_at_first_value = [], []
+
+    def counting(*args, **kwargs):
+        blocks.append(None)
+        return original(*args, **kwargs)
+
+    def fmt(value):
+        if not blocks_at_first_value:
+            blocks_at_first_value.append(len(blocks))
+        return str(value)
+
+    monkeypatch.setattr(link_sim, "simulate_block", counting)
+    monkeypatch.setattr(cli, "_fmt", fmt)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    assert main(["run", "--experiment", "F_TRACE", "--scheme", "ZF,RZF", "--users", "2",
+                 "--antennas", "2", "--block-len", "4", "--snr-db", "10,20", "--channels", "3",
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    assert len(blocks) == 12
+    assert blocks_at_first_value == [6]  # the ZF blocks only
 
 
 def test_scipy_loads_on_the_first_ci_solve(tmp_path):

@@ -304,6 +304,15 @@ def test_unit_norm_and_positive_margin():
         assert verify_solution(inst, sol).passed
 
 
+def test_block_symbols_spend_unit_power():
+    # with the allocations summing to P_T, a block then spends P_T to within 1e-9
+    cfg = LinkConfig(users=3, antennas=4, block_len=10)
+    rng = trial_rng(2, 0, 0)
+    channel = generate_channel(3, 4, rng)
+    X, _ = _slp_transmit(cfg, channel, SPEC16.points[rng.integers(0, 16, (3, 10))], SPEC16)
+    np.testing.assert_allclose(np.sum(np.abs(X) ** 2, axis=0), 1.0, atol=1e-9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), scale=st.floats(min_value=0.1, max_value=10.0))
 def test_scale_equivariance(seed, scale):
