@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from . import power_alloc
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,13 @@ def zf_precoder(H: np.ndarray) -> LinearPrecoder:
     return _regularized_inverse(H, ridge=0.0)
 
 
-def rzf_precoder(H: np.ndarray, sigma2: float, block_len: int, total_power: float) -> LinearPrecoder:
+def rzf_precoder(H: np.ndarray, sigma2: float, block_len: int) -> LinearPrecoder:
     """Regularized ZF with MMSE-style loading at the per-symbol SNR.
 
-    The ridge K * sigma2 * M / P_T equals K over the per-symbol transmit SNR;
-    it is the classic choice and is configurable through this signature.
+    The ridge K * sigma2 * M / P_T, with the block budget ``power_alloc.P_T``,
+    equals K over the per-symbol transmit SNR; it is the classic choice.
     """
-    if total_power <= 0 or block_len < 1:
-        raise ConfigurationError("need total_power > 0 and block_len >= 1")
-    ridge = H.shape[0] * sigma2 * block_len / total_power
+    ridge = H.shape[0] * sigma2 * block_len / power_alloc.P_T
     return _regularized_inverse(H, ridge)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 # every forked pool worker from importing it again.
 from numpy.random import Generator, SeedSequence, default_rng
 
+from . import power_alloc
 from .errors import ConfigurationError
 
 # Largest condition number of the Gram matrix R = stacked @ stacked.T that
@@ -97,15 +98,13 @@ def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
     return noise
 
 
-def sigma2_from_snr(snr_db: float, block_len: int, total_power: float = 1.0) -> float:
+def sigma2_from_snr(snr_db: float, block_len: int) -> float:
     """Noise variance from the per-symbol transmit SNR rho = P_T / (M * sigma2).
 
-    With the default block power budget P_T = 1 this is 1 / (M * 10^(snr/10)).
+    With the block budget ``power_alloc.P_T`` = 1 this is 1 / (M * 10^(snr/10)).
     ``snr_db = inf`` yields exactly zero noise.
     """
-    if block_len < 1:
-        raise ConfigurationError(f"block length must be >= 1, got {block_len}")
-    return total_power / (block_len * 10.0 ** (snr_db / 10.0))
+    return power_alloc.P_T / (block_len * 10.0 ** (snr_db / 10.0))
 
 
 def trial_rng(seed: int, *subkey: int) -> Generator:

@@ -38,15 +38,24 @@ TRACE_COLUMNS = [
 MAX_SNR_POINTS = 1000
 
 
+def _parse_snr(text: str) -> float:
+    """One SNR value (dB). Only a spelled-out inf or infinity reads as infinite:
+    float() also turns a finite number too large for it, such as 1e400, into inf."""
+    value = float(text)
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise ValueError(f"{text.strip()!r} is too large for a float; write inf for zero noise")
+    return value
+
+
 def parse_snr_values(text: str) -> tuple:
     """Parse an SNR grid: a single value, a comma list, or start:step:stop (dB)."""
     text = text.strip()
     try:
         if ":" not in text:
-            return tuple(float(v) for v in text.split(","))
+            return tuple(_parse_snr(v) for v in text.split(","))
         start, step, stop = (float(v) for v in text.split(":"))
     except ValueError as exc:
-        raise ConfigurationError(f"cannot parse snr_db value {text!r}") from exc
+        raise ConfigurationError(f"cannot parse snr_db value {text!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in (start, step, stop)):
         raise ConfigurationError(f"snr_db range bounds must be finite, got {text!r}")
     if step <= 0:

@@ -48,9 +48,6 @@ MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
 # model permits nonpositive values, which are physically meaningless.
 F_FLOOR = 1e-6
 
-# Block power budget P_T. Errors depend on it only through f_max * P_T.
-P_T = 1.0
-
 
 class Scheme(str, Enum):
     SLP_IN_BLOCK = "SLP_IN_BLOCK"
@@ -159,12 +156,6 @@ class BlockResult:
 
 
 @dataclass(frozen=True)
-class TrialFailure:
-    trial_index: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class MetricsRecord:
     """Aggregated per-SNR metrics for one scheme configuration."""
 
@@ -219,9 +210,9 @@ def effective_throughput(
     return max(goodput - overhead, 0.0)
 
 
-def _slp_transmit(cfg: LinkConfig, channel, symbols, spec):
+def _slp_transmit(channel, symbols, spec):
     """Solve the per-symbol CI problems of a block; returns (X, margins)."""
-    n_tx, M = channel.n_antennas, cfg.block_len
+    n_tx, M = channel.n_antennas, symbols.shape[1]
     X = np.empty((n_tx, M), dtype=complex)
     margins = np.empty(M)
     for m, (inst, sol) in enumerate(slp_core.solve_block(channel, symbols, spec)):
@@ -241,7 +232,7 @@ def simulate_block(
     channel: ChannelRealization,
     sigma2: float,
     rng: np.random.Generator,
-    spec: ConstellationSpec | None = None,
+    spec: ConstellationSpec,
 ) -> BlockResult:
     """Transmit one block of ``scheme`` through ``channel`` and count receiver bit errors.
 
@@ -250,26 +241,25 @@ def simulate_block(
     uniform SLP one per symbol duration.
     """
     scheme = Scheme(scheme)
-    spec = spec or build_constellation(cfg.modulation)
     K, M = cfg.users, cfg.block_len
 
     labels, symbols = modulate(spec, rng.integers(0, 2, size=(K, M, spec.bits_per_symbol)))
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
-        precoded, margins = _slp_transmit(cfg, channel, symbols, spec)
+        precoded, margins = _slp_transmit(channel, symbols, spec)
         if scheme is Scheme.SLP_IN_BLOCK:
-            powers = power_alloc.allocate_in_block(margins, P_T).powers
+            powers = power_alloc.allocate_in_block(margins, power_alloc.P_T).powers
         else:
-            powers = power_alloc.allocate_uniform(M, P_T)
+            powers = power_alloc.allocate_uniform(M)
         f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
     else:
         if scheme is Scheme.ZF:
             prec = baselines.zf_precoder(channel.H)
         else:
-            prec = baselines.rzf_precoder(channel.H, sigma2, M, P_T)
+            prec = baselines.rzf_precoder(channel.H, sigma2, M)
         precoded = prec.W @ symbols
-        powers = power_alloc.allocate_uniform(M, P_T)
+        powers = power_alloc.allocate_uniform(M)
         f_ideal = np.full(M, baselines.baseline_rescaling(prec, powers[0]))
 
     # A block-level scheme's factors are equal over the block, so its first
@@ -288,26 +278,28 @@ def simulate_block(
 
 def _run_trial(cfg: LinkConfig, scheme: Scheme, spec: ConstellationSpec, snr_index: int,
                sigma2: float, trial_index: int):
+    """The trial's BlockResult, or the reason it failed as "{type}: {message}"."""
     rng = trial_rng(cfg.seed, snr_index, trial_index)
     try:
         channel = generate_channel(cfg.users, cfg.antennas, rng)
         return simulate_block(cfg, scheme, channel, sigma2, rng, spec)
     except (np.linalg.LinAlgError, DegenerateMarginError, SolverFailure) as exc:
-        return TrialFailure(trial_index=trial_index, reason=f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) -> MetricsRecord:
+    """Reduce one SNR point's trial results, listed by trial index."""
     blocks = [r for r in results if isinstance(r, BlockResult)]
-    failures = [r for r in results if isinstance(r, TrialFailure)]
-    for fail in failures:
+    failures = [(trial, r) for trial, r in enumerate(results) if isinstance(r, str)]
+    for trial, reason in failures:
         log.warning(
             "trial discarded (scheme=%s, snr=%.1f dB, seed=%d, trial=%d): %s",
-            scheme.value, snr_db, cfg.seed, fail.trial_index, fail.reason,
+            scheme.value, snr_db, cfg.seed, trial, reason,
         )
     if failures and not blocks:
         raise SolverFailure(
             f"every trial failed (scheme={scheme.value}, snr={snr_db:.1f} dB); "
-            f"first: {failures[0].reason}"
+            f"first: {failures[0][1]}"
         )
 
     bps = int(np.log2(cfg.modulation))

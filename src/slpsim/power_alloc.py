@@ -23,6 +23,9 @@ from .errors import DegenerateMarginError
 # the closed form diverges and a silent clamp would corrupt experiments.
 MIN_MARGIN = 1e-12
 
+# Block power budget P_T. Errors depend on it only through f_max * P_T.
+P_T = 1.0
+
 
 class AllocationMode(Enum):
     IN_BLOCK = "in_block"
@@ -76,13 +79,9 @@ def allocate_in_block(margins, total_power: float) -> PowerAllocation:
     return PowerAllocation(powers=powers, mode=AllocationMode.IN_BLOCK, rescale=rescale)
 
 
-def allocate_uniform(n_symbols: int, total_power: float) -> np.ndarray:
+def allocate_uniform(n_symbols: int) -> np.ndarray:
     """Uniform split of the block budget: p_m = P_T / M for every symbol."""
-    if n_symbols < 1:
-        raise ValueError(f"need at least one symbol, got {n_symbols}")
-    if total_power <= 0:
-        raise ValueError(f"total power must be > 0, got {total_power}")
-    return np.full(n_symbols, total_power / n_symbols)
+    return np.full(n_symbols, P_T / n_symbols)
 
 
 def per_symbol_rescaling(margins, powers):

@@ -37,7 +37,7 @@ def test_zf_rank_deficient_raises():
 def test_rzf_identity_channel():
     # ridge = K * sigma2 * M / P_T = 2 * 0.25 * 2 / 1 = 1 -> W0 = I/2,
     # so beta = 1 / ||W0||_F = (1 + ridge) / sqrt(2) = sqrt(2)
-    prec = rzf_precoder(np.eye(2, dtype=complex), sigma2=0.25, block_len=2, total_power=1.0)
+    prec = rzf_precoder(np.eye(2, dtype=complex), sigma2=0.25, block_len=2)
     assert prec.beta == pytest.approx(np.sqrt(2))
     np.testing.assert_allclose(prec.W, np.eye(2) / np.sqrt(2), atol=1e-12)
 
@@ -45,10 +45,10 @@ def test_rzf_identity_channel():
 def test_rzf_limits():
     H = generate_channel(3, 4, trial_rng(1)).H
     zf = zf_precoder(H)
-    nearly_zf = rzf_precoder(H, sigma2=1e-12, block_len=1, total_power=1.0)
+    nearly_zf = rzf_precoder(H, sigma2=1e-12, block_len=1)
     assert np.linalg.norm(nearly_zf.W - zf.W) < 1e-8
 
-    heavy = rzf_precoder(H, sigma2=1e9, block_len=1, total_power=1.0)
+    heavy = rzf_precoder(H, sigma2=1e9, block_len=1)
     matched = H.conj().T
     matched /= np.linalg.norm(matched)
     assert np.linalg.norm(heavy.W - matched) < 1e-6

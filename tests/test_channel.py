@@ -86,6 +86,3 @@ def test_sigma2_from_snr_values():
     assert sigma2_from_snr(20.0, 200) == pytest.approx(5e-5)
     assert sigma2_from_snr(float("inf"), 50) == 0.0
 
-
-def test_sigma2_scales_with_power_budget():
-    assert sigma2_from_snr(10.0, 4, total_power=2.0) == pytest.approx(2 * sigma2_from_snr(10.0, 4))

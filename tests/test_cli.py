@@ -188,6 +188,23 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert help_exit.value.code == 0
 
 
+def test_cli_snr_too_large_for_a_float_exits_1(tmp_path, capsys):
+    # float() reads 1e400 as inf, which would run without noise; only a
+    # spelled-out inf selects zero noise
+    out = tmp_path / "x.csv"
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("snr_db = 1e400\n")
+    for args in (["--snr-db=1e400"], ["--snr-db=10,1e400"], ["--config", str(cfg_file)]):
+        assert main(["run", "--scheme", "ZF", *args, "--out", str(out)]) == 1, args
+        assert "'1e400'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+                 "--channels", "2", "--no-quantization", "--snr-db=-5,INF",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["snr_db"], r["ber"] == "0.0") for r in rows] == [("-5.0", False), ("inf", True)]
+
+
 # total_power is not a key (the budget is fixed): the parser names it
 @pytest.mark.parametrize("line, flags", [
     ("f_max = nan", []), ("f_max = inf", []), ("total_power = 1", []),

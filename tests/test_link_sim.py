@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from slpsim import link_sim, slp_core
+from slpsim import baselines, link_sim, power_alloc, slp_core
 from slpsim.channel import ChannelRealization, generate_channel, sigma2_from_snr, trial_rng
 from slpsim.cli import main
+from slpsim.constellation import build_constellation
 from slpsim.errors import ConfigurationError, SolverFailure
 from slpsim.link_sim import (
     LinkConfig,
@@ -93,7 +94,8 @@ def test_each_scheme_broadcasts_once_per_block_or_per_symbol(monkeypatch, scheme
     monkeypatch.setattr(link_sim, "quantize_broadcast", recording)
     cfg = make_cfg(users=3, antennas=4)
     rng = trial_rng(cfg.seed, 0, 0)
-    block = simulate_block(cfg, scheme, generate_channel(3, 4, rng), 1e-3, rng)
+    block = simulate_block(cfg, scheme, generate_channel(3, 4, rng), 1e-3, rng,
+                           build_constellation(cfg.modulation))
     assert len(broadcasts) == 1
     expected = cfg.block_len if scheme is Scheme.SLP_UNIFORM else 1
     assert len(broadcasts[0]) == expected
@@ -107,7 +109,7 @@ def test_noiseless_blocks_error_free(scheme):
     for trial in range(5):
         rng = trial_rng(cfg.seed, 0, trial)
         channel = generate_channel(4, 4, rng)
-        block = simulate_block(cfg, scheme, channel, 0.0, rng)
+        block = simulate_block(cfg, scheme, channel, 0.0, rng, build_constellation(cfg.modulation))
         assert block.n_bit_errors == 0
         assert block.n_user_block_errors == 0
 
@@ -116,7 +118,7 @@ def test_in_block_rescaling_is_flat():
     cfg = make_cfg(users=4, antennas=4, snr_db=(INF,))
     rng = trial_rng(1, 0, 0)
     channel = generate_channel(4, 4, rng)
-    block = simulate_block(cfg, Scheme.SLP_IN_BLOCK, channel, 0.0, rng)
+    block = simulate_block(cfg, Scheme.SLP_IN_BLOCK, channel, 0.0, rng, build_constellation(16))
     assert block.f_spread <= 1e-6
 
 
@@ -124,8 +126,31 @@ def test_uniform_rescaling_varies():
     cfg = make_cfg(users=4, antennas=4, snr_db=(INF,))
     rng = trial_rng(1, 0, 0)
     channel = generate_channel(4, 4, rng)
-    block = simulate_block(cfg, Scheme.SLP_UNIFORM, channel, 0.0, rng)
+    block = simulate_block(cfg, Scheme.SLP_UNIFORM, channel, 0.0, rng, build_constellation(16))
     assert block.f_spread > 1e-3
+
+
+def test_every_module_reads_the_one_block_budget_when_called(monkeypatch):
+    H = generate_channel(3, 4, trial_rng(3)).H
+    at_unit_budget = baselines.rzf_precoder(H, 0.25, 10)
+    monkeypatch.setattr(power_alloc, "P_T", 2.0)
+    assert sigma2_from_snr(0.0, 1) == 2.0
+    assert power_alloc.allocate_uniform(4).sum() == 2.0
+    # twice the noise over twice the budget gives the same ridge K * sigma2 * M / P_T, exactly
+    assert np.array_equal(baselines.rzf_precoder(H, 0.5, 10).W, at_unit_budget.W)
+    original = power_alloc.allocate_in_block
+    budgets = []
+
+    def recording(margins, total_power):
+        budgets.append(total_power)
+        return original(margins, total_power)
+
+    monkeypatch.setattr(power_alloc, "allocate_in_block", recording)
+    cfg = make_cfg(users=3, antennas=4)
+    rng = trial_rng(cfg.seed, 0, 0)
+    simulate_block(cfg, Scheme.SLP_IN_BLOCK, generate_channel(3, 4, rng), 1e-3, rng,
+                   build_constellation(cfg.modulation))
+    assert budgets == [2.0]
 
 
 def test_effective_throughput_values():

@@ -49,11 +49,11 @@ def test_degenerate_margin_raises():
 
 
 def test_uniform_allocation():
-    powers = allocate_uniform(10, 1.0)
+    powers = allocate_uniform(10)
     assert powers.shape == (10,)
     np.testing.assert_allclose(powers, 0.1)
-    np.testing.assert_allclose(allocate_uniform(1, 2.0), [2.0])
-    np.testing.assert_allclose(allocate_uniform(200, 1.0), 0.005)
+    np.testing.assert_allclose(allocate_uniform(1), [1.0])
+    np.testing.assert_allclose(allocate_uniform(200), 0.005)
 
 
 def test_per_symbol_rescaling_values():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from slpsim import slp_core
 from slpsim.channel import ChannelRealization, generate_channel, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
-from slpsim.link_sim import LinkConfig, _slp_transmit
+from slpsim.link_sim import _slp_transmit
 from slpsim.slp_core import (
     CiInstance,
     SlpSolution,
@@ -96,12 +96,11 @@ def test_build_instance_rejects_foreign_symbol():
 def test_block_path_matches_one_vector_path(order, users, antennas):
     # one classification per block must give the very same solves as one per vector
     spec = build_constellation(order)
-    cfg = LinkConfig(users=users, antennas=antennas, block_len=30, modulation=order)
     rng = trial_rng(order, users, antennas)
     channel = generate_channel(users, antennas, rng)
-    symbols = spec.points[rng.integers(0, order, (users, cfg.block_len))]
-    X, margins = _slp_transmit(cfg, channel, symbols, spec)
-    one = [solve_ci_max(build_instance(channel, symbols[:, m], spec)) for m in range(cfg.block_len)]
+    symbols = spec.points[rng.integers(0, order, (users, 30))]
+    X, margins = _slp_transmit(channel, symbols, spec)
+    one = [solve_ci_max(build_instance(channel, symbols[:, m], spec)) for m in range(symbols.shape[1])]
     assert np.array_equal(X, np.column_stack([sol.x for sol in one]))
     assert np.array_equal(margins, [sol.margin for sol in one])
 
@@ -306,10 +305,9 @@ def test_unit_norm_and_positive_margin():
 
 def test_block_symbols_spend_unit_power():
     # with the allocations summing to P_T, a block then spends P_T to within 1e-9
-    cfg = LinkConfig(users=3, antennas=4, block_len=10)
     rng = trial_rng(2, 0, 0)
     channel = generate_channel(3, 4, rng)
-    X, _ = _slp_transmit(cfg, channel, SPEC16.points[rng.integers(0, 16, (3, 10))], SPEC16)
+    X, _ = _slp_transmit(channel, SPEC16.points[rng.integers(0, 16, (3, 10))], SPEC16)
     np.testing.assert_allclose(np.sum(np.abs(X) ** 2, axis=0), 1.0, atol=1e-9)
 
 
