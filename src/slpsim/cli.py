@@ -252,9 +252,9 @@ def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
     min_margin = np.inf
     non_optimal = 0
     for _ in range(n_blocks):
-        channel = generate_channel(cfg.users, cfg.antennas, rng)
+        H = generate_channel(cfg.users, cfg.antennas, rng)
         symbols = spec.points[rng.integers(0, cfg.modulation, (cfg.users, cfg.block_len))]
-        for inst, sol in slp_core.solve_block(channel, symbols, spec):
+        for inst, sol in slp_core.solve_block(H, symbols, spec):
             non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
             report = slp_core.verify_solution(inst, sol, tol=1e-6)
             worst = max(worst, report.inner, report.outer, report.ball, report.norm_dev)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
 
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
@@ -62,7 +61,7 @@ def build_constellation(order: int) -> ConstellationSpec:
     the average symbol energy over the full constellation equals one.
     """
     if order not in SUPPORTED_ORDERS:
-        raise ConfigurationError(
+        raise ValueError(
             f"unsupported modulation order {order}; expected one of {SUPPORTED_ORDERS}"
         )
     side = math.isqrt(order)

@@ -19,6 +19,7 @@ import logging
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -27,13 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines, power_alloc, slp_core
-from .channel import (
-    ChannelRealization,
-    generate_channel,
-    sample_noise,
-    sigma2_from_snr,
-    trial_rng,
-)
+from .channel import generate_channel, sample_noise, sigma2_from_snr, trial_rng
 from .constellation import (ConstellationSpec, SUPPORTED_ORDERS, bit_errors, build_constellation,
                             demodulate, modulate)
 from .errors import ConfigurationError, DegenerateMarginError, SolverFailure
@@ -97,6 +92,11 @@ class LinkConfig:
             raise ConfigurationError(
                 f"modulation must be one of {SUPPORTED_ORDERS}, got {self.modulation}"
             )
+        # a string would be read one character at a time, a scalar not at all
+        for key in ("schemes", "snr_db"):
+            values = getattr(self, key)
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ConfigurationError(f"{key} must be a sequence of values, got {values!r}")
         if not self.schemes:
             raise ConfigurationError("schemes must name at least one scheme")
         try:
@@ -210,12 +210,11 @@ def effective_throughput(
     return max(goodput - overhead, 0.0)
 
 
-def _slp_transmit(channel, symbols, spec):
+def _slp_transmit(H, symbols, spec):
     """Solve the per-symbol CI problems of a block; returns (X, margins)."""
-    n_tx, M = channel.n_antennas, symbols.shape[1]
-    X = np.empty((n_tx, M), dtype=complex)
-    margins = np.empty(M)
-    for m, (inst, sol) in enumerate(slp_core.solve_block(channel, symbols, spec)):
+    X = np.empty((H.shape[1], symbols.shape[1]), dtype=complex)
+    margins = np.empty(symbols.shape[1])
+    for m, (inst, sol) in enumerate(slp_core.solve_block(H, symbols, spec)):
         if sol.status is not slp_core.SolverStatus.OPTIMAL:
             raise SolverFailure(
                 f"CI solve not optimal at symbol {m}: status {sol.status.value}, "
@@ -229,12 +228,12 @@ def _slp_transmit(channel, symbols, spec):
 def simulate_block(
     cfg: LinkConfig,
     scheme: Scheme,
-    channel: ChannelRealization,
+    H: np.ndarray,
     sigma2: float,
     rng: np.random.Generator,
     spec: ConstellationSpec,
 ) -> BlockResult:
-    """Transmit one block of ``scheme`` through ``channel`` and count receiver bit errors.
+    """Transmit one block of ``scheme`` through channel ``H`` and count receiver bit errors.
 
     Each scheme yields its precoded block, its per-symbol powers and its ideal
     rescaling factors. A block-level scheme broadcasts one factor per block,
@@ -247,7 +246,7 @@ def simulate_block(
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
-        precoded, margins = _slp_transmit(channel, symbols, spec)
+        precoded, margins = _slp_transmit(H, symbols, spec)
         if scheme is Scheme.SLP_IN_BLOCK:
             powers = power_alloc.allocate_in_block(margins, power_alloc.P_T).powers
         else:
@@ -255,9 +254,9 @@ def simulate_block(
         f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
     else:
         if scheme is Scheme.ZF:
-            prec = baselines.zf_precoder(channel.H)
+            prec = baselines.zf_precoder(H)
         else:
-            prec = baselines.rzf_precoder(channel.H, sigma2, M)
+            prec = baselines.rzf_precoder(H, sigma2, M)
         precoded = prec.W @ symbols
         powers = power_alloc.allocate_uniform(M)
         f_ideal = np.full(M, baselines.baseline_rescaling(prec, powers[0]))
@@ -267,7 +266,7 @@ def simulate_block(
     broadcast = f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal
     if cfg.quantization:
         broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
-    received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (channel.H @ precoded) + noise)
+    received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (H @ precoded) + noise)
     errors_per_user = bit_errors(labels, demodulate(spec, received)).sum(axis=1)
     return BlockResult(
         n_bit_errors=int(errors_per_user.sum()),
@@ -281,8 +280,8 @@ def _run_trial(cfg: LinkConfig, scheme: Scheme, spec: ConstellationSpec, snr_ind
     """The trial's BlockResult, or the reason it failed as "{type}: {message}"."""
     rng = trial_rng(cfg.seed, snr_index, trial_index)
     try:
-        channel = generate_channel(cfg.users, cfg.antennas, rng)
-        return simulate_block(cfg, scheme, channel, sigma2, rng, spec)
+        H = generate_channel(cfg.users, cfg.antennas, rng)
+        return simulate_block(cfg, scheme, H, sigma2, rng, spec)
     except (np.linalg.LinAlgError, DegenerateMarginError, SolverFailure) as exc:
         return f"{type(exc).__name__}: {exc}"
 

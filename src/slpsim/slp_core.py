@@ -40,7 +40,7 @@ The shortest w with S w = c * a is S^T R^-1 (c * a), whose squared norm is
 With z = A s - b, the optimum is w = S^T L^-T z, and nu = c * (L^-T z) are
 the Lagrange multipliers of the coupling rows; on the outer rows they are
 the NNLS gradient, nonnegative up to rounding, and are clamped at 0.
-ChannelRealization.whitener caches L^-1 once per channel, and is None when
+ChannelRealization.whitener caches L^-1 once per block, and is None when
 R has no Cholesky factor or cond(R) exceeds 1e-9 / eps, the bound at which
 the rounding of the whitened solve stays below 1e-9 relative. A symbol
 vector is solved in the least-distance form, whose verdict is final, when
@@ -78,11 +78,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .constellation import ConstellationSpec, classify_component
 
 _AXES = ("re", "im")
@@ -90,6 +89,10 @@ _AXES = ("re", "im")
 # entries of E are at most 1 in magnitude but for the offsets, which sum
 # against u to about 1.
 _ROUNDING = 16 * np.finfo(float).eps
+# Largest condition number of the Gram matrix R = stacked @ stacked.T that
+# is whitened. A whitened CI solve loses about cond(R) * eps to rounding,
+# so this bound keeps that loss below 1e-9 relative.
+_MAX_WHITENED_COND = 1e-9 / np.finfo(float).eps
 
 
 class SolverStatus(Enum):
@@ -110,6 +113,63 @@ class SolverOptions:
 
 
 _DEFAULT_OPTIONS = SolverOptions()
+
+
+@dataclass(frozen=True)
+class ChannelRealization:
+    """The CI solver's view of one block's channel matrix H, (K, N_T) complex.
+
+    Row k of ``H`` is the (transposed) channel vector of user k. The real
+    form and the whitener are built on first use and shared by every symbol
+    duration of the block.
+    """
+
+    H: np.ndarray
+
+    def __post_init__(self):
+        H = np.asarray(self.H, dtype=complex)
+        if H.ndim != 2:
+            raise ValueError("channel matrix must be 2-D (users x antennas)")
+        if H.shape[0] < 1:
+            raise ValueError(f"need at least one user, got {H.shape[0]}")
+        if H.shape[0] > H.shape[1]:
+            raise ValueError(
+                f"need K <= N_T for symbol-level precoding, got K={H.shape[0]}, N_T={H.shape[1]}"
+            )
+        if not np.all(np.isfinite(H)):
+            raise ValueError("channel matrix has non-finite entries")
+        object.__setattr__(self, "H", H)
+
+    @property
+    def n_users(self) -> int:
+        return self.H.shape[0]
+
+    @property
+    def n_antennas(self) -> int:
+        return self.H.shape[1]
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """Real (2K, 2N_T) form of H, built once: row 2k maps w = [Re x; Im x]
+        to Re(h_k x) and row 2k+1 to Im(h_k x)."""
+        re_h, im_h = self.H.real, self.H.imag
+        blocks = np.stack([np.hstack([re_h, -im_h]), np.hstack([im_h, re_h])], axis=1)
+        return blocks.reshape(2 * self.n_users, 2 * self.n_antennas)
+
+    @cached_property
+    def whitener(self) -> np.ndarray | None:
+        """L^-1 for the Cholesky factor L of R = stacked @ stacked.T, (2K, 2K).
+
+        None when R has no Cholesky factor or cond(R) exceeds
+        _MAX_WHITENED_COND: such a channel is solved without whitening."""
+        gram = self.stacked @ self.stacked.T
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.linalg.cond(gram) <= _MAX_WHITENED_COND:
+            return None
+        return np.linalg.inv(factor)
 
 
 @dataclass(frozen=True)
@@ -168,14 +228,16 @@ def _outer_masks(spec: ConstellationSpec, symbols: np.ndarray) -> np.ndarray:
     return np.stack([re_outer, im_outer], axis=-1).reshape(*symbols.shape[:-1], -1)
 
 
-def build_instance(channel: ChannelRealization, symbols, spec: ConstellationSpec) -> CiInstance:
+def build_instance(H: np.ndarray, symbols, spec: ConstellationSpec) -> CiInstance:
     """Split the 2K (user, axis) components of a symbol vector into inner/outer."""
     symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-    return CiInstance(channel, symbols, _outer_masks(spec, symbols))
+    return CiInstance(ChannelRealization(H), symbols, _outer_masks(spec, symbols))
 
 
-def solve_block(channel: ChannelRealization, symbols, spec: ConstellationSpec):
-    """Yield (instance, solution) per symbol duration of a (K, M) block, classified at once."""
+def solve_block(H: np.ndarray, symbols, spec: ConstellationSpec):
+    """Yield (instance, solution) per symbol duration of a (K, M) block, classified
+    at once; its symbol durations share one view of the channel H."""
+    channel = ChannelRealization(H)
     vectors = np.ascontiguousarray(np.transpose(symbols), dtype=complex)
     for vector, outer in zip(vectors, _outer_masks(spec, vectors)):
         instance = CiInstance(channel, vector, outer)

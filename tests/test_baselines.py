@@ -15,7 +15,7 @@ def test_zf_identity_channel():
 
 
 def test_zf_inverts_random_channel():
-    H = generate_channel(3, 5, trial_rng(0)).H
+    H = generate_channel(3, 5, trial_rng(0))
     prec = zf_precoder(H)
     np.testing.assert_allclose(H @ prec.W, prec.beta * np.eye(3), atol=1e-9)
     assert np.linalg.norm(prec.W) == pytest.approx(1.0, abs=1e-9)
@@ -32,6 +32,9 @@ def test_zf_rank_deficient_raises():
     H = np.ones((2, 2), dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         zf_precoder(H)
+    # the ridge keeps the inverse finite, but a channel of zeros has no precoder to normalize
+    with pytest.raises(np.linalg.LinAlgError, match="normalization failed"):
+        rzf_precoder(np.zeros((2, 2), dtype=complex), sigma2=0.1, block_len=1)
 
 
 def test_rzf_identity_channel():
@@ -43,7 +46,7 @@ def test_rzf_identity_channel():
 
 
 def test_rzf_limits():
-    H = generate_channel(3, 4, trial_rng(1)).H
+    H = generate_channel(3, 4, trial_rng(1))
     zf = zf_precoder(H)
     nearly_zf = rzf_precoder(H, sigma2=1e-12, block_len=1)
     assert np.linalg.norm(nearly_zf.W - zf.W) < 1e-8
@@ -55,7 +58,7 @@ def test_rzf_limits():
 
 
 def test_frobenius_normalization_gives_unit_average_power():
-    H = generate_channel(4, 4, trial_rng(2)).H
+    H = generate_channel(4, 4, trial_rng(2))
     prec = zf_precoder(H)
     spec = build_constellation(16)
     rng = trial_rng(3)

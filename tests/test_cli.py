@@ -82,9 +82,12 @@ def test_fields_table_gives_flags_and_file_keys_one_meaning(tmp_path, monkeypatc
 
 def test_parse_config_unknown_key(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("userz = 4\n")
-    with pytest.raises(ConfigurationError, match="userz"):
-        parse_config(cfg_file)
+    # an unknown key, a line without "=" and a word that is no boolean
+    for line, message in (("userz = 4", "userz"), ("users 4", "expected 'key = value'"),
+                          ("quantization = maybe", "cannot parse boolean value 'maybe'")):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(cfg_file)
 
 
 def test_parse_config_overloaded_rejected(tmp_path):
@@ -149,6 +152,8 @@ def test_parse_config_comments_and_schemes(tmp_path):
     assert spec.schemes == (Scheme.ZF, Scheme.RZF)
     assert spec.snr_db == (0.0, 10.0, 20.0)
     assert spec.quantization is False
+    cfg_file.write_text("quantization = on\n")
+    assert parse_config(cfg_file).quantization is True
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):

@@ -13,7 +13,6 @@ from slpsim.constellation import (
     demodulate,
     modulate,
 )
-from slpsim.errors import ConfigurationError
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -41,7 +40,7 @@ def test_qpsk_all_corner_points():
 
 
 def test_unsupported_order_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="unsupported modulation order 32"):
         build_constellation(32)
 
 

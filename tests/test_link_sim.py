@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slpsim import baselines, link_sim, power_alloc, slp_core
-from slpsim.channel import ChannelRealization, generate_channel, sigma2_from_snr, trial_rng
+from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
 from slpsim.cli import main
 from slpsim.constellation import build_constellation
 from slpsim.errors import ConfigurationError, SolverFailure
@@ -30,6 +30,12 @@ def make_cfg(**kw):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         make_cfg(users=3, antennas=2)
+    with pytest.raises(ConfigurationError, match="users must be >= 1"):
+        make_cfg(users=0)
+    with pytest.raises(ConfigurationError, match="block_len must be >= 1"):
+        make_cfg(block_len=0)
+    with pytest.raises(ConfigurationError, match="channels must be >= 0"):
+        make_cfg(channels=-1)
     with pytest.raises(ConfigurationError):
         make_cfg(modulation=13)
     with pytest.raises(ConfigurationError):
@@ -50,6 +56,12 @@ def test_config_validation():
         make_cfg(snr_db=())
     with pytest.raises(ConfigurationError, match="scheme"):
         make_cfg(schemes=("ZF", "MMSE"))
+    with pytest.raises(ConfigurationError, match="at least one scheme"):
+        make_cfg(schemes=())
+    # a string or a scalar is not read as a one-value grid
+    for key, value in (("snr_db", 10.0), ("snr_db", "10"), ("schemes", "ZF")):
+        with pytest.raises(ConfigurationError, match=f"{key} must be a sequence"):
+            make_cfg(**{key: value})
     assert make_cfg(schemes=("ZF",)).schemes == (Scheme.ZF,)
     assert LinkConfig().snr_db == tuple(float(v) for v in range(0, 45, 5))
     # a finite SNR whose noise variance overflows, underflows to 0 or is inf
@@ -131,7 +143,7 @@ def test_uniform_rescaling_varies():
 
 
 def test_every_module_reads_the_one_block_budget_when_called(monkeypatch):
-    H = generate_channel(3, 4, trial_rng(3)).H
+    H = generate_channel(3, 4, trial_rng(3))
     at_unit_budget = baselines.rzf_precoder(H, 0.25, 10)
     monkeypatch.setattr(power_alloc, "P_T", 2.0)
     assert sigma2_from_snr(0.0, 1) == 2.0
@@ -189,9 +201,28 @@ def test_parallel_matches_serial(monkeypatch):
 def test_degenerate_channel_discards_the_trial(monkeypatch, scheme):
     # user 2 has no channel: its CI margin is 0 whatever the power allocation
     H = np.array([[0.7 + 0.2j, -0.3 + 0.9j], [0, 0]])
-    monkeypatch.setattr(link_sim, "generate_channel", lambda *args: ChannelRealization(H))
+    monkeypatch.setattr(link_sim, "generate_channel", lambda *args: H)
     with pytest.raises(SolverFailure, match="every trial failed.*DegenerateMarginError"):
         run_monte_carlo(make_cfg(channels=2), scheme)
+
+
+def test_only_the_ci_solve_builds_a_channel_view(monkeypatch):
+    # ZF and RZF work on H alone; an SLP block builds one view for all its solves
+    built = []
+    original = slp_core.ChannelRealization.__post_init__
+
+    def counting(view):
+        built.append(view)
+        original(view)
+
+    monkeypatch.setattr(slp_core.ChannelRealization, "__post_init__", counting)
+    monkeypatch.setenv(link_sim.WORKERS_ENV, "1")
+    cfg = make_cfg(channels=3, snr_db=(10.0, 30.0))
+    for scheme in Scheme:
+        built.clear()
+        run_monte_carlo(cfg, scheme)
+        slp = scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM)
+        assert len(built) == (cfg.channels * len(cfg.snr_db) if slp else 0), scheme
 
 
 def test_non_optimal_ci_solve_discards_the_trial(monkeypatch):

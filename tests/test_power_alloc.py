@@ -46,6 +46,12 @@ def test_degenerate_margin_raises():
         allocate_in_block([1.0, 0.0], 1.0)
     with pytest.raises(DegenerateMarginError):
         allocate_in_block([1.0, -0.5], 1.0)
+    for margins in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            allocate_in_block(margins, 1.0)
+    for budget in (0.0, -1.0):
+        with pytest.raises(ValueError, match="total power must be > 0"):
+            allocate_in_block([1.0, 2.0], budget)
 
 
 def test_uniform_allocation():
@@ -105,6 +111,8 @@ def test_kkt_flags_budget_violation():
     cert = verify_kkt(margins, powers, 1.0)
     assert not cert.passed
     assert cert.primal_residual == pytest.approx(0.01, rel=1e-6)
+    with pytest.raises(ValueError, match="powers and total power must be positive"):
+        verify_kkt(margins, np.array([1.0, 0.0]), 1.0)
 
 
 def test_oracle_matches_two_symbol_case():

@@ -9,10 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slpsim import slp_core
-from slpsim.channel import ChannelRealization, generate_channel, trial_rng
+from slpsim.channel import generate_channel, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
+from slpsim.errors import SolverFailure
 from slpsim.link_sim import _slp_transmit
 from slpsim.slp_core import (
+    ChannelRealization,
     CiInstance,
     SlpSolution,
     SolverOptions,
@@ -80,7 +82,7 @@ def test_build_instance_rejects_foreign_symbol():
     # a zero-axis symbol has no scale factor on that axis, even when an
     # instance is built by hand around the classification
     zero_axis = CiInstance(
-        channel=H,
+        channel=ChannelRealization(H),
         symbols=np.array([1.0 + 0j]),
         outer=np.array([False, False]),
     )
@@ -122,18 +124,18 @@ def test_index_sets_follow_the_classification():
 
 
 def test_instance_mask_must_cover_the_2k_components():
-    channel = generate_channel(2, 2, trial_rng(6))
+    H = generate_channel(2, 2, trial_rng(6))
     for outer in (np.zeros(3, bool), np.zeros(5, bool), np.zeros((2, 2), bool)):
         with pytest.raises(ValueError, match="2K"):
-            CiInstance(channel=channel, symbols=SPEC16.points[:2], outer=outer)
+            CiInstance(channel=ChannelRealization(H), symbols=SPEC16.points[:2], outer=outer)
     with pytest.raises(ValueError, match="2K"):  # symbol count and channel disagree
-        build_instance(channel, SPEC16.points[:3], SPEC16)
+        build_instance(H, SPEC16.points[:3], SPEC16)
 
 
 def test_analytic_single_user_inner():
     # single antenna, unit channel, inner point: both axes pinned to the
     # margin force x = t*s, and ||x|| = 1 gives t = 1/|s| = sqrt(5)
-    inst = build_instance(ChannelRealization(np.array([[1.0 + 0j]])), [(1 + 1j) / np.sqrt(10)], SPEC16)
+    inst = build_instance(np.array([[1.0 + 0j]]), [(1 + 1j) / np.sqrt(10)], SPEC16)
     sol = solve_ci_max(inst)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.margin == pytest.approx(np.sqrt(5), abs=1e-9)
@@ -142,7 +144,7 @@ def test_analytic_single_user_inner():
 
 def test_analytic_single_user_corner():
     # corner point: symmetric max-min over the ball, t = sqrt(5)/3
-    inst = build_instance(ChannelRealization(np.array([[1.0 + 0j]])), [(3 + 3j) / np.sqrt(10)], SPEC16)
+    inst = build_instance(np.array([[1.0 + 0j]]), [(3 + 3j) / np.sqrt(10)], SPEC16)
     sol = solve_ci_max(inst)
     assert sol.margin == pytest.approx(np.sqrt(5) / 3, abs=1e-9)
     np.testing.assert_allclose(sol.x, [(1 + 1j) / np.sqrt(2)], atol=1e-9)
@@ -220,7 +222,7 @@ _INNER, _CORNER = (1 + 1j) / np.sqrt(10), (3 + 3j) / np.sqrt(10)
 def test_rank_deficient_channels(H, symbols, margin):
     # two users behind one channel row: the margin exists only when both
     # users' constraints can be met by the same receive sample
-    inst = build_instance(ChannelRealization(H), symbols, SPEC16)
+    inst = build_instance(H, symbols, SPEC16)
     sol = solve_ci_max(inst)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.margin == pytest.approx(margin, abs=1e-6)
@@ -234,9 +236,9 @@ def _near_singular_instance(seed, eps):
     """3x3, 16QAM: channel row 2 is row 1 plus eps times a CN(0, 2) draw, so the
     rows stay linearly independent and the margin stays positive."""
     rng = trial_rng(seed)
-    H = generate_channel(3, 3, rng).H.copy()
+    H = generate_channel(3, 3, rng)
     H[1] = H[0] + eps * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    return build_instance(ChannelRealization(H), SPEC16.points[rng.integers(0, 16, 3)], SPEC16)
+    return build_instance(H, SPEC16.points[rng.integers(0, 16, 3)], SPEC16)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
@@ -266,13 +268,14 @@ def test_only_well_conditioned_channels_are_whitened():
     # absolute at t < 1
     assert ChannelRealization(_DUPLICATED_ROW).whitener is None
     assert ChannelRealization(_ZERO_ROW).whitener is None
-    assert _sweep_channel().whitener is None
+    assert ChannelRealization(_sweep_channel()).whitener is None
     for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
         for seed in range(50):
             assert _near_singular_instance(seed, eps).channel.whitener is None, (eps, seed)
     for users, antennas in ((1, 1), (4, 4), (3, 6), (12, 12)):
         for seed in range(50):
-            channel = generate_channel(users, antennas, trial_rng(seed, users, antennas))
+            H = generate_channel(users, antennas, trial_rng(seed, users, antennas))
+            channel = ChannelRealization(H)
             L_inv = channel.whitener
             gram = channel.stacked @ channel.stacked.T
             np.testing.assert_allclose(L_inv @ gram @ L_inv.T, np.eye(2 * users), atol=1e-9)
@@ -291,6 +294,58 @@ def test_unwhitened_sweep_channel_solves_every_symbol():
         assert verify_solution(inst, sol).passed
     for inst, sol in solved[:3]:
         assert sol.margin == pytest.approx(margin_oracle_for_instance(inst), abs=1e-3)
+
+
+def test_whitened_iteration_cap_falls_back_to_the_least_distance_form(monkeypatch):
+    inst = random_instance(40, users=3, antennas=3)
+    assert inst.channel.whitener is not None
+    exact = _solve_ldp(inst, inst.symbols.view(float), SolverOptions())
+    original, calls = slp_core._nnls, []
+
+    def capped_once(A, b):
+        calls.append(A.shape)
+        if len(calls) == 1:
+            raise RuntimeError("iteration cap")
+        return original(A, b)
+
+    monkeypatch.setattr(slp_core, "_nnls", capped_once)
+    sol = solve_ci_max(inst)
+    assert len(calls) == 2
+    assert sol.status is SolverStatus.OPTIMAL
+    assert np.array_equal(sol.x, exact.x)
+    assert sol.margin == exact.margin
+
+
+def test_least_distance_iteration_cap_fails_the_block(monkeypatch):
+    def capped(A, b):
+        raise RuntimeError("iteration cap")
+
+    monkeypatch.setattr(slp_core, "_nnls", capped)
+    # whitened, then least-distance; and least-distance alone
+    for inst in (random_instance(41, users=3, antennas=3), _near_singular_instance(0, 1e-6)):
+        sol = solve_ci_max(inst)
+        assert sol.status is SolverStatus.MAX_ITER
+        assert sol.margin == 0.0
+        assert not sol.x.any()
+    rng = trial_rng(41)
+    H = generate_channel(3, 3, rng)
+    with pytest.raises(SolverFailure, match="status max_iter"):
+        _slp_transmit(H, SPEC16.points[rng.integers(0, 16, (3, 4))], SPEC16)
+
+
+def test_uncertified_least_distance_solve(monkeypatch):
+    regular, near_singular = random_instance(42, users=3, antennas=3), _near_singular_instance(0, 1e-8)
+    optimum = solve_ci_max(regular).margin
+    assert 0 < solve_ci_max(near_singular).margin < 1e-7
+    monkeypatch.setattr(slp_core, "_certified", lambda *args: False)
+    sol = solve_ci_max(regular)
+    assert sol.status is SolverStatus.MAX_ITER
+    assert sol.margin == pytest.approx(optimum, rel=1e-9)
+    # a margin whose square is lost in rounding: no margin is certified
+    sol = solve_ci_max(near_singular)
+    assert sol.status is SolverStatus.OPTIMAL
+    assert sol.margin == 0.0
+    assert not sol.x.any()
 
 
 def test_unit_norm_and_positive_margin():
