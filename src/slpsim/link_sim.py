@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from collections import Counter
 from collections.abc import Iterable
@@ -79,49 +80,61 @@ class LinkConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        if self.users < 1:
-            raise ConfigurationError(f"users must be >= 1, got {self.users}")
+        # each integer key (a NumPy integer too, not a bool) in its range, stored as int
+        for key, low, high in (("users", 1, math.inf), ("antennas", 1, math.inf), ("block_len", 1, math.inf),
+                               ("modulation", SUPPORTED_ORDERS[0], SUPPORTED_ORDERS[-1]),
+                               ("feedback_bits", 1, MAX_FEEDBACK_BITS), ("channels", 0, math.inf),
+                               ("seed", 0, math.inf)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
+            if not low <= value <= high:
+                bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
+                raise ConfigurationError(f"{key} must be {bounds}, got {value}")
         if self.users > self.antennas:
-            raise ConfigurationError(
-                "constraint violated: users <= antennas "
-                f"(got users={self.users}, antennas={self.antennas})"
-            )
-        if self.block_len < 1:
-            raise ConfigurationError(f"block_len must be >= 1, got {self.block_len}")
+            raise ConfigurationError("constraint violated: users <= antennas "
+                                     f"(got users={self.users}, antennas={self.antennas})")
         if self.modulation not in SUPPORTED_ORDERS:
-            raise ConfigurationError(
-                f"modulation must be one of {SUPPORTED_ORDERS}, got {self.modulation}"
-            )
+            raise ConfigurationError(f"modulation must be one of {SUPPORTED_ORDERS}, got {self.modulation}")
         # a string would be read one character at a time, a scalar not at all
         for key in ("schemes", "snr_db"):
             values = getattr(self, key)
-            if isinstance(values, str) or not isinstance(values, Iterable):
+            if isinstance(values, str) or not isinstance(values, Iterable) or getattr(values, "ndim", 1) == 0:
                 raise ConfigurationError(f"{key} must be a sequence of values, got {values!r}")
-        if not self.schemes:
-            raise ConfigurationError("schemes must name at least one scheme")
         try:
             object.__setattr__(self, "schemes", tuple(Scheme(s) for s in self.schemes))
         except ValueError as exc:
             raise ConfigurationError(
                 f"unknown scheme in {self.schemes!r}; valid: {[s.value for s in Scheme]}"
             ) from exc
-        if not 1 <= self.feedback_bits <= MAX_FEEDBACK_BITS:
-            raise ConfigurationError(f"feedback_bits must be in 1..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
-        if not 0 < self.f_max < math.inf:  # also rejects nan
-            raise ConfigurationError(f"f_max must be finite and > 0, got {self.f_max}")
-        if not self.snr_db:
-            raise ConfigurationError("snr_db grid is empty")
+        if not self.schemes:
+            raise ConfigurationError("schemes must name at least one scheme")
+        real = isinstance(self.f_max, numbers.Real) and not isinstance(self.f_max, bool)
+        try:  # nan fails the range check, and so does an integer too large for a float
+            f_max = float(self.f_max) if real else math.nan
+        except OverflowError:
+            f_max = math.nan
+        if not 0 < f_max < math.inf:
+            raise ConfigurationError(f"f_max must be finite and > 0, got {self.f_max!r}")
+        object.__setattr__(self, "f_max", f_max)
         # inf is zero noise; any other value needs a finite noise variance > 0,
         # which nan, -inf and finite values far enough out do not give
-        for v in self.snr_db:
+        snr_db = tuple(self.snr_db)
+        for v in snr_db:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigurationError(f"snr_db value {v!r} is not a real number")
             try:
-                sigma2 = sigma2_from_snr(v, self.block_len)
+                sigma2 = sigma2_from_snr(float(v), self.block_len)
             except (OverflowError, ZeroDivisionError):
                 sigma2 = math.nan
             if v != math.inf and not 0 < sigma2 < math.inf:
                 raise ConfigurationError(
                     f"snr_db value {v} gives no finite noise variance > 0 at block_len={self.block_len}"
                 )
+        if not snr_db:
+            raise ConfigurationError("snr_db grid is empty")
+        object.__setattr__(self, "snr_db", tuple(float(v) for v in snr_db))
         # a repeated scheme would rerun its sweep, a repeated SNR value would
         # rerun the point on another substream; both would write a second row
         schemes = [s.value for s in self.schemes]
@@ -129,10 +142,11 @@ class LinkConfig:
             repeated = [v for v, count in Counter(values).items() if count > 1]
             if repeated:
                 raise ConfigurationError(f"{key} lists {repeated[0]} more than once")
-        if self.channels < 0:
-            raise ConfigurationError(f"channels must be >= 0, got {self.channels}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.quantization, (bool, np.bool_)):
+            raise ConfigurationError(f"quantization must be a bool, got {self.quantization!r}")
+        object.__setattr__(self, "quantization", bool(self.quantization))
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigurationError(f"out must be a str or os.PathLike, got {self.out!r}")
         try:
             object.__setattr__(self, "experiment", Experiment(self.experiment))
         except ValueError as exc:

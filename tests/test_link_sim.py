@@ -3,7 +3,7 @@ import pytest
 
 from slpsim import baselines, link_sim, power_alloc, slp_core
 from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
-from slpsim.cli import main
+from slpsim.cli import main, run_experiment
 from slpsim.constellation import build_constellation
 from slpsim.errors import ConfigurationError, SolverFailure
 from slpsim.link_sim import (
@@ -42,8 +42,8 @@ def test_config_validation():
         make_cfg(feedback_bits=0)
     with pytest.raises(ConfigurationError):
         make_cfg(f_max=0.0)
-    # a non-finite f_max and a B whose 2**B overflows a float
-    for value in (float("nan"), INF, -INF, 0.0):
+    # a non-finite f_max, one too large for a float and a B whose 2**B overflows a float
+    for value in (float("nan"), INF, -INF, 0.0, 10**400):
         with pytest.raises(ConfigurationError, match="f_max"):
             make_cfg(f_max=value)
     for bits in (1024, 2000):
@@ -79,6 +79,49 @@ def test_config_validation():
     for snr in ((10.0, 10.0), (INF, 20.0, INF)):
         with pytest.raises(ConfigurationError, match=f"snr_db lists {snr[0]} more than once"):
             make_cfg(snr_db=snr)
+
+
+# wrong-typed values, each refused, naming its key, before any engine code sees it
+@pytest.mark.parametrize("key, value", [
+    ("quantization", "no"), ("quantization", None), ("seed", 1.5), ("channels", 2.5),
+    ("block_len", 2.5), ("modulation", 16.0), ("antennas", 4.0), ("users", "2"), ("f_max", "1"),
+    ("f_max", True), ("feedback_bits", True), ("out", 5),
+    pytest.param("snr_db", ("10",), id="snr_db-str"),
+    pytest.param("snr_db", (True,), id="snr_db-bool"),
+    pytest.param("snr_db", np.array(10.0), id="snr_db-0d-array"),
+    pytest.param("snr_db", np.array([[10.0, 20.0]]), id="snr_db-2d-array"),
+])
+def test_config_rejects_a_wrong_type_naming_its_key(key, value):
+    with pytest.raises(ConfigurationError, match=rf"^{key} "):
+        make_cfg(**{key: value})
+
+
+@pytest.mark.parametrize("experiment", ["BER_SWEEP", "F_TRACE"])
+@pytest.mark.parametrize("numpy_keys", [
+    {"users": np.int64(2), "antennas": np.int64(2), "block_len": np.int64(4), "modulation": np.int64(16),
+     "feedback_bits": np.int64(5), "channels": np.int64(2), "seed": np.int64(9)},
+    {"snr_db": np.array([10.0, 20.0])},
+    {"snr_db": (np.float64(10.0), np.float64(20.0)), "f_max": np.float64(1.0), "quantization": np.bool_(True)},
+], ids=["int64-sizes", "float64-snr-array", "float64-scalars"])
+def test_numpy_typed_config_runs_as_its_python_twin(tmp_path, experiment, numpy_keys):
+    python_keys = {key: np.asarray(value).tolist() for key, value in numpy_keys.items()}
+    base = dict(users=2, antennas=2, block_len=4, channels=2, snr_db=(10.0, 20.0),
+                schemes=("SLP_IN_BLOCK", "ZF"), experiment=experiment)
+    paths = []
+    for name, keys in (("numpy", numpy_keys), ("python", python_keys)):
+        cfg = make_cfg(**{**base, **keys, "out": tmp_path / f"{name}.csv"})
+        assert all(type(v) is float for v in cfg.snr_db)
+        assert type(cfg.users) is int and type(cfg.f_max) is float and type(cfg.quantization) is bool
+        assert run_experiment(cfg) == 0
+        paths.append(tmp_path / f"{name}.csv")
+    numpy_csv, python_csv = (path.read_bytes() for path in paths)
+    assert numpy_csv == python_csv
+    header, *rows = [line.split(",") for line in python_csv.decode().splitlines()]
+    assert rows
+    for row in rows:
+        for column, cell in zip(header, row):
+            if column not in ("experiment", "scheme"):
+                float(cell)
 
 
 def test_quantize_variance():

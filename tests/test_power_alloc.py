@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slpsim import slp_core
+from slpsim.channel import generate_channel
+from slpsim.constellation import build_constellation
 from slpsim.errors import DegenerateMarginError
 from slpsim.power_alloc import (
+    P_T,
     allocate_in_block,
     allocate_uniform,
     per_symbol_rescaling,
     verify_kkt,
 )
 
+from ci_oracle import margin_oracle_for_instance
 from power_oracle import solve_maxmin_power
 
 margins_strategy = st.lists(
@@ -158,3 +163,38 @@ def test_larger_margin_gets_less_power(margins):
     powers = allocate_in_block(margins, 1.0).powers
     order = np.argsort(margins)
     assert np.all(np.diff(powers[order]) <= 1e-15)
+
+
+@pytest.mark.parametrize("users, antennas, block_len, order, corners, seed", [
+    (2, 2, 3, 4, None, 1), (2, 2, 3, 16, None, 2), (3, 4, 4, 4, None, 3), (3, 4, 4, 16, None, 4),
+    (2, 2, 3, 16, True, 5), (2, 2, 3, 16, False, 6),
+], ids=["2x2-4qam", "2x2-16qam", "3x4-4qam", "3x4-16qam", "all-corner-16qam", "all-inner-16qam"])
+def test_in_block_allocation_is_the_joint_block_optimum(users, antennas, block_len, order, corners, seed):
+    """Per-symbol CI followed by the closed-form split is optimal among all
+    block designs with one rescaling factor.
+
+    That joint design is one CI problem over the block-diagonal channel
+    diag(H, ..., H) with the block's symbols stacked: its margin is
+    t* = sqrt(P_T / sum 1/t_m^2) = 1/f, reached with ||x_m||^2 = p_m.
+    """
+    rng = np.random.default_rng(seed)
+    spec = build_constellation(order)
+    H = generate_channel(users, antennas, rng)
+    points = spec.points
+    if corners is not None:  # every axis at the outermost level, or every axis at the innermost one
+        level = spec.levels.max() if corners else spec.levels[spec.levels > 0].min()
+        points = points[(np.abs(points.real) == level) & (np.abs(points.imag) == level)]
+    symbols = points[rng.integers(0, len(points), (users, block_len))]
+    solutions = [sol for _, sol in slp_core.solve_block(H, symbols, spec)]
+    assert all(sol.status is slp_core.SolverStatus.OPTIMAL for sol in solutions)
+    alloc = allocate_in_block([sol.margin for sol in solutions], P_T)
+
+    joint = slp_core.build_instance(np.kron(np.eye(block_len), H), symbols.T.ravel(), spec)
+    if corners is not None:
+        assert joint.outer.all() == corners and joint.outer.any() == corners
+    sol = slp_core.solve_ci_max(joint)
+    assert sol.status is slp_core.SolverStatus.OPTIMAL
+    assert abs(sol.margin * alloc.rescale - 1.0) <= 1e-12
+    energies = np.sum(np.abs(sol.x.reshape(block_len, antennas)) ** 2, axis=1)
+    np.testing.assert_allclose(energies, alloc.powers, rtol=0, atol=1e-12)
+    assert abs(margin_oracle_for_instance(joint) - 1.0 / alloc.rescale) <= 1e-4
