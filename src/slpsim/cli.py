@@ -11,6 +11,7 @@ import contextlib
 import csv
 import math
 import os
+import shutil
 import sys
 from enum import Enum
 from pathlib import Path
@@ -160,11 +161,11 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, columns, rows):
     """Write rows, as they are made, to a new file beside ``path``, then rename
     it onto ``path``: a run that fails deletes the new file and leaves
-    ``path`` as it was."""
+    ``path`` as it was. An existing ``path`` keeps its mode."""
     # short whatever the length of path.name; random, so a killed run's file blocks no later run
     tmp = path.with_name(f".slpsim-{os.urandom(8).hex()}.tmp")
     try:
-        fh = open(tmp, "x", newline="")  # mode from the umask, as open(path, "w") gives
+        fh = open(tmp, "x", newline="")
     except OSError as exc:  # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
@@ -173,6 +174,8 @@ def _write_csv(path: Path, columns, rows):
             writer.writerow(columns)
             for row in rows:
                 writer.writerow([_fmt(row[c]) for c in columns])
+        with contextlib.suppress(FileNotFoundError):  # a new path keeps the umask's mode
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
@@ -241,9 +244,9 @@ def run_experiment(cfg: LinkConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
-    """Solve two blocks of the configured system, drawn from ``seed + 1`` and
-    solved as the sweep does; check each solve's status, constraints and
-    duality gap. Returns (passed, detail)."""
+    """Solve each symbol of two blocks of the configured system, drawn from ``seed + 1``,
+    through the per-symbol API (``build_instance``, ``solve_ci_max``); check each
+    solve's status, constraints and duality gap. Returns (passed, detail)."""
     n_blocks = 2
     rng = np.random.default_rng(cfg.seed + 1)
     spec = build_constellation(cfg.modulation)
@@ -254,7 +257,8 @@ def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
     for _ in range(n_blocks):
         H = generate_channel(cfg.users, cfg.antennas, rng)
         symbols = spec.points[rng.integers(0, cfg.modulation, (cfg.users, cfg.block_len))]
-        for inst, sol in slp_core.solve_block(H, symbols, spec):
+        for inst in (slp_core.build_instance(H, vector, spec) for vector in symbols.T):
+            sol = slp_core.solve_ci_max(inst)
             non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
             report = slp_core.verify_solution(inst, sol, tol=1e-6)
             worst = max(worst, report.inner, report.outer, report.ball, report.norm_dev)

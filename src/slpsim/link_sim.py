@@ -54,6 +54,7 @@ class Scheme(str, Enum):
 
 # Schemes whose rescaling factor is constant within a block (one broadcast).
 BLOCK_LEVEL_SCHEMES = frozenset({Scheme.SLP_IN_BLOCK, Scheme.ZF, Scheme.RZF})
+SLP_SCHEMES = frozenset({Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM})
 
 
 class Experiment(str, Enum):
@@ -224,21 +225,6 @@ def effective_throughput(
     return max(goodput - overhead, 0.0)
 
 
-def _slp_transmit(H, symbols, spec):
-    """Solve the per-symbol CI problems of a block; returns (X, margins)."""
-    X = np.empty((H.shape[1], symbols.shape[1]), dtype=complex)
-    margins = np.empty(symbols.shape[1])
-    for m, (inst, sol) in enumerate(slp_core.solve_block(H, symbols, spec)):
-        if sol.status is not slp_core.SolverStatus.OPTIMAL:
-            raise SolverFailure(
-                f"CI solve not optimal at symbol {m}: status {sol.status.value}, "
-                f"gap {sol.gap:.3e}, {slp_core.verify_solution(inst, sol)}"
-            )
-        X[:, m] = sol.x
-        margins[m] = sol.margin
-    return X, margins
-
-
 def simulate_block(
     cfg: LinkConfig,
     scheme: Scheme,
@@ -259,8 +245,8 @@ def simulate_block(
     labels, symbols = modulate(spec, rng.integers(0, 2, size=(K, M, spec.bits_per_symbol)))
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
-    if scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
-        precoded, margins = _slp_transmit(H, symbols, spec)
+    if scheme in SLP_SCHEMES:
+        precoded, margins = slp_core.solve_block(H, symbols, spec)
         if scheme is Scheme.SLP_IN_BLOCK:
             powers = power_alloc.allocate_in_block(margins, power_alloc.P_T).powers
         else:
@@ -363,7 +349,7 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
     spec = build_constellation(cfg.modulation)
     n_workers = _worker_count()
     pooled = n_workers > 1 and cfg.channels > 1
-    if pooled and scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
+    if pooled and scheme in SLP_SCHEMES:
         slp_core._scipy_nnls()  # import SciPy once, before the forks, not in every worker
     for i, snr_db in enumerate(cfg.snr_db):
         sigma2 = sigma2_from_snr(snr_db, cfg.block_len)

@@ -83,6 +83,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .constellation import ConstellationSpec, classify_component
+from .errors import SolverFailure
 
 _AXES = ("re", "im")
 # Rounding scale of the NNLS residual E u - e, per unit of 1 + sum(u): the
@@ -234,14 +235,22 @@ def build_instance(H: np.ndarray, symbols, spec: ConstellationSpec) -> CiInstanc
     return CiInstance(ChannelRealization(H), symbols, _outer_masks(spec, symbols))
 
 
-def solve_block(H: np.ndarray, symbols, spec: ConstellationSpec):
-    """Yield (instance, solution) per symbol duration of a (K, M) block, classified
-    at once; its symbol durations share one view of the channel H."""
+def solve_block(H: np.ndarray, symbols, spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The precoded (N_T, M) block and the M margins of a (K, M) symbol block,
+    classified at once; its symbol durations share one view of the channel H.
+    Raises SolverFailure at the first symbol whose solve is not OPTIMAL."""
     channel = ChannelRealization(H)
     vectors = np.ascontiguousarray(np.transpose(symbols), dtype=complex)
-    for vector, outer in zip(vectors, _outer_masks(spec, vectors)):
+    X = np.empty((channel.n_antennas, len(vectors)), dtype=complex)
+    margins = np.empty(len(vectors))
+    for m, (vector, outer) in enumerate(zip(vectors, _outer_masks(spec, vectors))):
         instance = CiInstance(channel, vector, outer)
-        yield instance, solve_ci_max(instance)
+        sol = solve_ci_max(instance)
+        if sol.status is not SolverStatus.OPTIMAL:
+            raise SolverFailure(f"CI solve not optimal at symbol {m}: status {sol.status.value}, "
+                                f"gap {sol.gap:.3e}, {verify_solution(instance, sol)}")
+        X[:, m], margins[m] = sol.x, sol.margin
+    return X, margins
 
 
 def _zero_solution(instance: CiInstance, status: SolverStatus) -> SlpSolution:

@@ -227,7 +227,7 @@ def test_cli_non_finite_power_or_huge_feedback_exits_1(tmp_path, capsys, line, f
     assert not out.exists()
 
 
-def test_verify_solver_suite_solves_whole_blocks_through_the_block_path(monkeypatch):
+def test_verify_solver_suite_solves_each_symbol_through_the_per_symbol_api(monkeypatch):
     calls = []
     original = slp_core.classify_component
 
@@ -239,7 +239,7 @@ def test_verify_solver_suite_solves_whole_blocks_through_the_block_path(monkeypa
     cfg = LinkConfig(users=3, antennas=5, modulation=64, block_len=7)
     passed, detail = check_slp_solutions(cfg)
     assert passed, detail
-    assert calls == [(7, 3)] * 2  # one classification per block of 7 symbol vectors
+    assert calls == [(3,)] * 14  # one classification per symbol vector of two blocks of 7
     assert detail.startswith("2 blocks of 7: 0 non-optimal solves")
 
 
@@ -292,7 +292,7 @@ def test_cli_failed_write_keeps_the_out_that_was_there(tmp_path, monkeypatch, ca
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert list(tmp_path.iterdir()) == [out]  # no temporary file left behind
-    # a run that succeeds replaces it, with the mode a new file gets
+    # a run that succeeds replaces it and keeps its mode, here the one a new file gets
     umask = os.umask(0)
     os.umask(umask)
     assert main(args) == 0
@@ -312,6 +312,25 @@ def test_cli_writes_through_a_symlinked_out(tmp_path):
     assert link.is_symlink()
     assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
     assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("mode, linked", [(0o600, False), (0o640, True)], ids=["direct", "symlink"])
+def test_cli_run_keeps_the_mode_of_an_existing_out(tmp_path, mode, linked):
+    target = tmp_path / "r.csv"
+    target.write_text("old\n")
+    target.chmod(mode)
+    out = tmp_path / "link.csv" if linked else target
+    if linked:
+        out.symlink_to(target)
+    umask = os.umask(0o022)  # a new file would get 0644
+    try:
+        assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+                     "--snr-db", "10", "--channels", "1", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.is_symlink() == linked
+    assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
+    assert target.stat().st_mode & 0o777 == mode
 
 
 def test_cli_out_through_a_dangling_symlink(tmp_path, monkeypatch, capsys):

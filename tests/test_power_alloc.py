@@ -185,9 +185,8 @@ def test_in_block_allocation_is_the_joint_block_optimum(users, antennas, block_l
         level = spec.levels.max() if corners else spec.levels[spec.levels > 0].min()
         points = points[(np.abs(points.real) == level) & (np.abs(points.imag) == level)]
     symbols = points[rng.integers(0, len(points), (users, block_len))]
-    solutions = [sol for _, sol in slp_core.solve_block(H, symbols, spec)]
-    assert all(sol.status is slp_core.SolverStatus.OPTIMAL for sol in solutions)
-    alloc = allocate_in_block([sol.margin for sol in solutions], P_T)
+    _, margins = slp_core.solve_block(H, symbols, spec)  # raises unless every solve is OPTIMAL
+    alloc = allocate_in_block(margins, P_T)
 
     joint = slp_core.build_instance(np.kron(np.eye(block_len), H), symbols.T.ravel(), spec)
     if corners is not None:

@@ -12,7 +12,6 @@ from slpsim import slp_core
 from slpsim.channel import generate_channel, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from slpsim.errors import SolverFailure
-from slpsim.link_sim import _slp_transmit
 from slpsim.slp_core import (
     ChannelRealization,
     CiInstance,
@@ -101,7 +100,7 @@ def test_block_path_matches_one_vector_path(order, users, antennas):
     rng = trial_rng(order, users, antennas)
     channel = generate_channel(users, antennas, rng)
     symbols = spec.points[rng.integers(0, order, (users, 30))]
-    X, margins = _slp_transmit(channel, symbols, spec)
+    X, margins = solve_block(channel, symbols, spec)
     one = [solve_ci_max(build_instance(channel, symbols[:, m], spec)) for m in range(symbols.shape[1])]
     assert np.array_equal(X, np.column_stack([sol.x for sol in one]))
     assert np.array_equal(margins, [sol.margin for sol in one])
@@ -285,7 +284,8 @@ def test_unwhitened_sweep_channel_solves_every_symbol():
     # a real sweep channel that takes the least-distance form on every symbol
     rng = trial_rng(6)
     block = SPEC16.points[rng.integers(0, 16, (4, 50))]
-    solved = list(solve_block(_sweep_channel(), block, SPEC16))
+    instances = [build_instance(_sweep_channel(), vector, SPEC16) for vector in block.T]
+    solved = [(inst, solve_ci_max(inst)) for inst in instances]
     assert len(solved) == 50
     for inst, sol in solved:
         assert sol.status is SolverStatus.OPTIMAL
@@ -294,6 +294,9 @@ def test_unwhitened_sweep_channel_solves_every_symbol():
         assert verify_solution(inst, sol).passed
     for inst, sol in solved[:3]:
         assert sol.margin == pytest.approx(margin_oracle_for_instance(inst), abs=1e-3)
+    # the block solve gives the very same margins
+    _, margins = solve_block(_sweep_channel(), block, SPEC16)
+    assert np.array_equal(margins, [sol.margin for _, sol in solved])
 
 
 def test_whitened_iteration_cap_falls_back_to_the_least_distance_form(monkeypatch):
@@ -330,7 +333,7 @@ def test_least_distance_iteration_cap_fails_the_block(monkeypatch):
     rng = trial_rng(41)
     H = generate_channel(3, 3, rng)
     with pytest.raises(SolverFailure, match="status max_iter"):
-        _slp_transmit(H, SPEC16.points[rng.integers(0, 16, (3, 4))], SPEC16)
+        solve_block(H, SPEC16.points[rng.integers(0, 16, (3, 4))], SPEC16)
 
 
 def test_uncertified_least_distance_solve(monkeypatch):
@@ -362,7 +365,7 @@ def test_block_symbols_spend_unit_power():
     # with the allocations summing to P_T, a block then spends P_T to within 1e-9
     rng = trial_rng(2, 0, 0)
     channel = generate_channel(3, 4, rng)
-    X, _ = _slp_transmit(channel, SPEC16.points[rng.integers(0, 16, (3, 10))], SPEC16)
+    X, _ = solve_block(channel, SPEC16.points[rng.integers(0, 16, (3, 10))], SPEC16)
     np.testing.assert_allclose(np.sum(np.abs(X) ** 2, axis=0), 1.0, atol=1e-9)
 
 
