@@ -245,8 +245,8 @@ def run_experiment(cfg: LinkConfig) -> int:
 
 def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
     """Solve each symbol of two blocks of the configured system, drawn from ``seed + 1``,
-    through the per-symbol API (``build_instance``, ``solve_ci_max``); check each
-    solve's status, constraints and duality gap. Returns (passed, detail)."""
+    through the per-symbol API (``build_instance``, ``solve_ci_max``) on one channel view
+    per block; check each solve's status, constraints and duality gap. Returns (passed, detail)."""
     n_blocks = 2
     rng = np.random.default_rng(cfg.seed + 1)
     spec = build_constellation(cfg.modulation)
@@ -255,9 +255,9 @@ def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
     min_margin = np.inf
     non_optimal = 0
     for _ in range(n_blocks):
-        H = generate_channel(cfg.users, cfg.antennas, rng)
+        channel = slp_core.ChannelRealization(generate_channel(cfg.users, cfg.antennas, rng))
         symbols = spec.points[rng.integers(0, cfg.modulation, (cfg.users, cfg.block_len))]
-        for inst in (slp_core.build_instance(H, vector, spec) for vector in symbols.T):
+        for inst in (slp_core.build_instance(channel, vector, spec) for vector in symbols.T):
             sol = slp_core.solve_ci_max(inst)
             non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
             report = slp_core.verify_solution(inst, sol, tol=1e-6)

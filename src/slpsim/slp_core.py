@@ -229,10 +229,10 @@ def _outer_masks(spec: ConstellationSpec, symbols: np.ndarray) -> np.ndarray:
     return np.stack([re_outer, im_outer], axis=-1).reshape(*symbols.shape[:-1], -1)
 
 
-def build_instance(H: np.ndarray, symbols, spec: ConstellationSpec) -> CiInstance:
+def build_instance(channel: ChannelRealization, symbols, spec: ConstellationSpec) -> CiInstance:
     """Split the 2K (user, axis) components of a symbol vector into inner/outer."""
     symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-    return CiInstance(ChannelRealization(H), symbols, _outer_masks(spec, symbols))
+    return CiInstance(channel, symbols, _outer_masks(spec, symbols))
 
 
 def solve_block(H: np.ndarray, symbols, spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray]:

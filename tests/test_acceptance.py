@@ -36,7 +36,7 @@ from slpsim.link_sim import (
     sweep_points,
 )
 from slpsim.power_alloc import allocate_in_block, verify_kkt
-from slpsim.slp_core import build_instance, solve_ci_max, verify_solution
+from slpsim.slp_core import ChannelRealization, build_instance, solve_ci_max, verify_solution
 
 from ci_oracle import margin_oracle_for_instance
 from power_oracle import solve_maxmin_power
@@ -187,9 +187,10 @@ def test_c3_slp_solver_correctness():
     start = time.time()
     spec = build_constellation(16)
 
-    inst = build_instance(np.array([[1.0 + 0j]]), [(1 + 1j) / np.sqrt(10)], spec)
+    unit = ChannelRealization(np.array([[1.0 + 0j]]))
+    inst = build_instance(unit, [(1 + 1j) / np.sqrt(10)], spec)
     err_inner = abs(solve_ci_max(inst).margin - np.sqrt(5))
-    inst = build_instance(np.array([[1.0 + 0j]]), [(3 + 3j) / np.sqrt(10)], spec)
+    inst = build_instance(unit, [(3 + 3j) / np.sqrt(10)], spec)
     err_corner = abs(solve_ci_max(inst).margin - np.sqrt(5) / 3)
 
     worst_oracle = 0.0
@@ -199,7 +200,7 @@ def test_c3_slp_solver_correctness():
         rng = trial_rng(1000 + seed)
         channel = generate_channel(2, 2, rng)
         symbols = spec.points[rng.integers(0, 16, 2)]
-        inst = build_instance(channel, symbols, spec)
+        inst = build_instance(ChannelRealization(channel), symbols, spec)
         sol = solve_ci_max(inst)
         worst_oracle = max(worst_oracle, abs(sol.margin - margin_oracle_for_instance(inst)))
         report = verify_solution(inst, sol, tol=1e-6)
@@ -378,7 +379,7 @@ def test_c9_solver_latency():
     for _ in range(15):
         channel = generate_channel(12, 12, rng)
         symbols = spec.points[rng.integers(0, 64, 12)]
-        inst = build_instance(channel, symbols, spec)
+        inst = build_instance(ChannelRealization(channel), symbols, spec)
         start = time.perf_counter()
         sol = solve_ci_max(inst)
         times.append(time.perf_counter() - start)

@@ -243,6 +243,21 @@ def test_verify_solver_suite_solves_each_symbol_through_the_per_symbol_api(monke
     assert detail.startswith("2 blocks of 7: 0 non-optimal solves")
 
 
+def test_verify_factors_each_block_channel_once(monkeypatch):
+    # the symbols of a block share one channel view, so its whitener is built once
+    calls = []
+    original = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    passed, detail = check_slp_solutions(LinkConfig(users=3, antennas=5, block_len=7))
+    assert passed, detail
+    assert calls == [(6, 6)] * 2  # one 2K x 2K Gram factorization per block of two
+
+
 def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the output path was checked")

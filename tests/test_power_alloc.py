@@ -188,7 +188,8 @@ def test_in_block_allocation_is_the_joint_block_optimum(users, antennas, block_l
     _, margins = slp_core.solve_block(H, symbols, spec)  # raises unless every solve is OPTIMAL
     alloc = allocate_in_block(margins, P_T)
 
-    joint = slp_core.build_instance(np.kron(np.eye(block_len), H), symbols.T.ravel(), spec)
+    block_channel = slp_core.ChannelRealization(np.kron(np.eye(block_len), H))
+    joint = slp_core.build_instance(block_channel, symbols.T.ravel(), spec)
     if corners is not None:
         assert joint.outer.all() == corners and joint.outer.any() == corners
     sol = slp_core.solve_ci_max(joint)

@@ -43,13 +43,13 @@ def random_instance(seed, users=2, antennas=2, spec=SPEC16, mask=None):
         want = mask == "outer"
         points = points[(re_outer == want) & (im_outer == want)]
     symbols = points[rng.integers(0, points.size, users)]
-    return build_instance(channel, symbols, spec)
+    return build_instance(ChannelRealization(channel), symbols, spec)
 
 
 def test_build_instance_mixed_types():
     H = generate_channel(2, 2, trial_rng(0))
     symbols = np.array([(1 + 1j), (3 + 3j)]) / np.sqrt(10)  # type A, type D
-    inst = build_instance(H, symbols, SPEC16)
+    inst = build_instance(ChannelRealization(H), symbols, SPEC16)
     assert len(inst.inner_index_set) == 2
     assert len(inst.outer_index_set) == 2
     assert set(inst.inner_index_set) == {(0, "re"), (0, "im")}
@@ -58,7 +58,7 @@ def test_build_instance_mixed_types():
 
 def test_build_instance_qpsk_all_outer():
     H = generate_channel(1, 1, trial_rng(1))
-    inst = build_instance(H, [SPEC4.points[0]], SPEC4)
+    inst = build_instance(ChannelRealization(H), [SPEC4.points[0]], SPEC4)
     assert len(inst.inner_index_set) == 0
     assert len(inst.outer_index_set) == 2
 
@@ -66,7 +66,7 @@ def test_build_instance_qpsk_all_outer():
 def test_build_instance_all_inner():
     H = generate_channel(3, 3, trial_rng(2))
     symbols = np.full(3, (1 + 1j) / np.sqrt(10))
-    inst = build_instance(H, symbols, SPEC16)
+    inst = build_instance(ChannelRealization(H), symbols, SPEC16)
     assert len(inst.inner_index_set) == 6
     assert len(inst.outer_index_set) == 0
 
@@ -74,10 +74,10 @@ def test_build_instance_all_inner():
 def test_build_instance_rejects_foreign_symbol():
     H = generate_channel(1, 1, trial_rng(3))
     with pytest.raises(ValueError):
-        build_instance(H, [0.2 + 0.2j], SPEC16)
+        build_instance(ChannelRealization(H), [0.2 + 0.2j], SPEC16)
     H3 = generate_channel(3, 3, trial_rng(3))
     with pytest.raises(ValueError, match="0.2"):
-        build_instance(H3, [SPEC16.points[0], SPEC16.points[5], 0.2 + 0.2j], SPEC16)
+        build_instance(ChannelRealization(H3), [SPEC16.points[0], SPEC16.points[5], 0.2 + 0.2j], SPEC16)
     # a zero-axis symbol has no scale factor on that axis, even when an
     # instance is built by hand around the classification
     zero_axis = CiInstance(
@@ -101,7 +101,8 @@ def test_block_path_matches_one_vector_path(order, users, antennas):
     channel = generate_channel(users, antennas, rng)
     symbols = spec.points[rng.integers(0, order, (users, 30))]
     X, margins = solve_block(channel, symbols, spec)
-    one = [solve_ci_max(build_instance(channel, symbols[:, m], spec)) for m in range(symbols.shape[1])]
+    view = ChannelRealization(channel)
+    one = [solve_ci_max(build_instance(view, symbols[:, m], spec)) for m in range(symbols.shape[1])]
     assert np.array_equal(X, np.column_stack([sol.x for sol in one]))
     assert np.array_equal(margins, [sol.margin for sol in one])
 
@@ -111,7 +112,7 @@ def test_index_sets_follow_the_classification():
     rng = trial_rng(5)
     channel = generate_channel(6, 6, rng)
     symbols = spec.points[rng.integers(0, 64, 6)]
-    inst = build_instance(channel, symbols, spec)
+    inst = build_instance(ChannelRealization(channel), symbols, spec)
     re_outer, im_outer = classify_component(spec, symbols)
     expected = {True: [], False: []}
     for k in range(6):
@@ -128,13 +129,14 @@ def test_instance_mask_must_cover_the_2k_components():
         with pytest.raises(ValueError, match="2K"):
             CiInstance(channel=ChannelRealization(H), symbols=SPEC16.points[:2], outer=outer)
     with pytest.raises(ValueError, match="2K"):  # symbol count and channel disagree
-        build_instance(H, SPEC16.points[:3], SPEC16)
+        build_instance(ChannelRealization(H), SPEC16.points[:3], SPEC16)
 
 
 def test_analytic_single_user_inner():
     # single antenna, unit channel, inner point: both axes pinned to the
     # margin force x = t*s, and ||x|| = 1 gives t = 1/|s| = sqrt(5)
-    inst = build_instance(np.array([[1.0 + 0j]]), [(1 + 1j) / np.sqrt(10)], SPEC16)
+    unit = ChannelRealization(np.array([[1.0 + 0j]]))
+    inst = build_instance(unit, [(1 + 1j) / np.sqrt(10)], SPEC16)
     sol = solve_ci_max(inst)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.margin == pytest.approx(np.sqrt(5), abs=1e-9)
@@ -143,7 +145,8 @@ def test_analytic_single_user_inner():
 
 def test_analytic_single_user_corner():
     # corner point: symmetric max-min over the ball, t = sqrt(5)/3
-    inst = build_instance(np.array([[1.0 + 0j]]), [(3 + 3j) / np.sqrt(10)], SPEC16)
+    unit = ChannelRealization(np.array([[1.0 + 0j]]))
+    inst = build_instance(unit, [(3 + 3j) / np.sqrt(10)], SPEC16)
     sol = solve_ci_max(inst)
     assert sol.margin == pytest.approx(np.sqrt(5) / 3, abs=1e-9)
     np.testing.assert_allclose(sol.x, [(1 + 1j) / np.sqrt(2)], atol=1e-9)
@@ -221,7 +224,7 @@ _INNER, _CORNER = (1 + 1j) / np.sqrt(10), (3 + 3j) / np.sqrt(10)
 def test_rank_deficient_channels(H, symbols, margin):
     # two users behind one channel row: the margin exists only when both
     # users' constraints can be met by the same receive sample
-    inst = build_instance(H, symbols, SPEC16)
+    inst = build_instance(ChannelRealization(H), symbols, SPEC16)
     sol = solve_ci_max(inst)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.margin == pytest.approx(margin, abs=1e-6)
@@ -237,7 +240,7 @@ def _near_singular_instance(seed, eps):
     rng = trial_rng(seed)
     H = generate_channel(3, 3, rng)
     H[1] = H[0] + eps * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    return build_instance(H, SPEC16.points[rng.integers(0, 16, 3)], SPEC16)
+    return build_instance(ChannelRealization(H), SPEC16.points[rng.integers(0, 16, 3)], SPEC16)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
@@ -284,7 +287,8 @@ def test_unwhitened_sweep_channel_solves_every_symbol():
     # a real sweep channel that takes the least-distance form on every symbol
     rng = trial_rng(6)
     block = SPEC16.points[rng.integers(0, 16, (4, 50))]
-    instances = [build_instance(_sweep_channel(), vector, SPEC16) for vector in block.T]
+    channel = ChannelRealization(_sweep_channel())
+    instances = [build_instance(channel, vector, SPEC16) for vector in block.T]
     solved = [(inst, solve_ci_max(inst)) for inst in instances]
     assert len(solved) == 50
     for inst, sol in solved:
