@@ -89,8 +89,8 @@ def _parse_bool(text: str) -> bool:
 
 # Config keys in LinkConfig field order, each with the parser that reads its
 # text, from a config file or from the command line alike, and the
-# `slpsim run` flag that sets it (None: config file only). The flag of a
-# boolean key takes no value and means "key = off".
+# `slpsim run` flag that sets it. The flag of a boolean key takes no value
+# and means "key = off".
 _FIELDS = {
     "users": (int, "--users"),
     "antennas": (int, "--antennas"),
@@ -99,7 +99,6 @@ _FIELDS = {
     "schemes": (_parse_schemes, "--scheme"),
     "snr_db": (parse_snr_values, "--snr-db"),
     "feedback_bits": (int, "--bits-feedback"),
-    "f_max": (float, None),
     "channels": (int, "--channels"),
     "seed": (int, "--seed"),
     "quantization": (_parse_bool, "--no-quantization"),
@@ -293,10 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run an experiment and write its CSV")
     run_parser.add_argument("--config", help="key = value experiment file")
     for key, (parse, flag) in _FIELDS.items():
-        if flag and parse is _parse_bool:
+        if parse is _parse_bool:
             run_parser.add_argument(flag, dest=key, action="store_const", const="off",
                                     default=argparse.SUPPRESS, help=f"{key} = off")
-        elif flag:
+        else:
             run_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS,
                                     help=f"config key {key}")
     verify_parser = sub.add_parser("verify", help="check the CI solver on two seeded blocks")

@@ -43,6 +43,8 @@ MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
 # Floor applied to a quantized rescaling factor: the additive Gaussian error
 # model permits nonpositive values, which are physically meaningless.
 F_FLOOR = 1e-6
+# Broadcast error scale (variance F_MAX / 2^B), fixed like power_alloc.P_T: no run varies it.
+F_MAX = 1.0
 
 
 class Scheme(str, Enum):
@@ -73,7 +75,6 @@ class LinkConfig:
     schemes: tuple = tuple(Scheme)
     snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     feedback_bits: int = 5
-    f_max: float = 1.0
     channels: int = 100
     seed: int = 1
     quantization: bool = True
@@ -111,14 +112,6 @@ class LinkConfig:
             ) from exc
         if not self.schemes:
             raise ConfigurationError("schemes must name at least one scheme")
-        real = isinstance(self.f_max, numbers.Real) and not isinstance(self.f_max, bool)
-        try:  # nan fails the range check, and so does an integer too large for a float
-            f_max = float(self.f_max) if real else math.nan
-        except OverflowError:
-            f_max = math.nan
-        if not 0 < f_max < math.inf:
-            raise ConfigurationError(f"f_max must be finite and > 0, got {self.f_max!r}")
-        object.__setattr__(self, "f_max", f_max)
         # inf is zero noise; any other value needs a finite noise variance > 0,
         # which nan, -inf and finite values far enough out do not give
         snr_db = tuple(self.snr_db)
@@ -146,8 +139,8 @@ class LinkConfig:
         if not isinstance(self.quantization, (bool, np.bool_)):
             raise ConfigurationError(f"quantization must be a bool, got {self.quantization!r}")
         object.__setattr__(self, "quantization", bool(self.quantization))
-        if not isinstance(self.out, (str, os.PathLike)):
-            raise ConfigurationError(f"out must be a str or os.PathLike, got {self.out!r}")
+        if not isinstance(self.out, (str, os.PathLike)) or not os.fspath(self.out):
+            raise ConfigurationError(f"out must be a non-empty str or os.PathLike path, got {self.out!r}")
         try:
             object.__setattr__(self, "experiment", Experiment(self.experiment))
         except ValueError as exc:
@@ -187,15 +180,14 @@ class MetricsRecord:
     n_failed: int
 
 
-def quantize_broadcast(f: np.ndarray, feedback_bits: int, f_max: float,
-                       rng: np.random.Generator) -> np.ndarray:
+def quantize_broadcast(f: np.ndarray, feedback_bits: int, rng: np.random.Generator) -> np.ndarray:
     """Rescaling factors as received after B-bit broadcast, one per entry of ``f``.
 
     The limited feed-forward link adds zero-mean Gaussian error with variance
-    f_max / 2^B, drawn for all entries at once. The results are floored at a
-    tiny positive value since a nonpositive rescaling factor is meaningless.
+    F_MAX / 2^B = 2^-B, drawn for all entries at once. The results are floored
+    at a tiny positive value since a nonpositive rescaling factor is meaningless.
     """
-    variance = f_max / 2.0**feedback_bits
+    variance = F_MAX / 2.0**feedback_bits
     f_hat = f + rng.normal(0.0, np.sqrt(variance), size=np.shape(f))
     clamped = f_hat < F_FLOOR
     if clamped.any():
@@ -265,7 +257,7 @@ def simulate_block(
     # one stands for all; for in-block SLP, f_spread shows that equalization.
     broadcast = f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal
     if cfg.quantization:
-        broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, cfg.f_max, rng)
+        broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, rng)
     received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (H @ precoded) + noise)
     errors_per_user = bit_errors(labels, demodulate(spec, received)).sum(axis=1)
     return BlockResult(

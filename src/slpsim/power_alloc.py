@@ -23,7 +23,8 @@ from .errors import DegenerateMarginError
 # the closed form diverges and a silent clamp would corrupt experiments.
 MIN_MARGIN = 1e-12
 
-# Block power budget P_T. Errors depend on it only through f_max * P_T.
+# Block power budget P_T. Errors depend on it only through its product with
+# link_sim.F_MAX, the broadcast error scale, which is fixed at 1 too.
 P_T = 1.0
 
 

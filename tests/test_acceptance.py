@@ -2,11 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Criterion 6 (throughput) reads the desk sweep, a module fixture at
-K = N_T = 4, M = 50, 16QAM, 500 channels, B = 5, f_max = 1 with
-quantization enabled.
+K = N_T = 4, M = 50, 16QAM, 500 channels, B = 5 with quantization
+enabled.
 
 Criterion 5 (error-rate ordering) runs on the paper's system instead:
-K = N_T = 12, M = 200, 16QAM, B = 5, f_max = 1, quantization enabled,
+K = N_T = 12, M = 200, 16QAM, B = 5, quantization enabled,
 seed 2026, over 300 channels at 35 and 40 dB. At desk scale the BER
 ordering is absent, not merely hard to see: with 4000 channels of the desk
 sweep the in-block, uniform and RZF BERs lie within 10% of each other and
@@ -78,7 +78,7 @@ def desk_sweep():
     """500-channel paired sweep of all four schemes over DESK_SNR_DB."""
     return _sweep(
         Scheme, users=4, antennas=4, block_len=50, modulation=16,
-        snr_db=DESK_SNR_DB, feedback_bits=5, f_max=1.0,
+        snr_db=DESK_SNR_DB, feedback_bits=5,
         channels=500, seed=DESK_SEED, quantization=True,
     )
 
@@ -96,7 +96,7 @@ def paper_sweep():
         return _sweep(
             (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.RZF),
             users=12, antennas=12, block_len=200, modulation=16,
-            snr_db=PAPER_SNR_DB, feedback_bits=5, f_max=1.0,
+            snr_db=PAPER_SNR_DB, feedback_bits=5,
             channels=PAPER_CHANNELS, seed=PAPER_SEED, quantization=True,
         )
 
@@ -340,9 +340,9 @@ def test_c6_throughput_ordering(desk_sweep):
 
 
 def test_c7_quantization_variance():
-    """Broadcast error variance matches f_max / 2^B within 3%."""
+    """Broadcast error variance matches 2^-B within 3%."""
     rng = trial_rng(123)
-    draws = quantize_broadcast(np.full(100_000, 10.0), 5, 1.0, rng)
+    draws = quantize_broadcast(np.full(100_000, 10.0), 5, rng)
     measured = float(np.var(draws - 10.0))
     expected = 1.0 / 32.0
     rel = abs(measured - expected) / expected

@@ -1,7 +1,10 @@
 import csv
+import functools
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -48,12 +51,11 @@ def test_parse_config_defaults(tmp_path):
     spec = parse_config(cfg_file)
     assert spec.users == 4 and spec.block_len == 50
     assert spec.feedback_bits == 5
-    assert spec.f_max == 1.0
     assert spec.modulation == 16
     assert len(spec.schemes) == 4
 
 
-# One value per flagged config key, each different from the default.
+# One value per config key, each different from the default.
 FLAG_SAMPLES = {
     "users": "3", "antennas": "5", "block_len": "7", "modulation": "64",
     "schemes": "ZF,RZF", "snr_db": "0:10:20", "feedback_bits": "3", "channels": "9",
@@ -63,11 +65,10 @@ FLAG_SAMPLES = {
 
 def test_fields_table_gives_flags_and_file_keys_one_meaning(tmp_path, monkeypatch):
     assert list(_FIELDS) == [f.name for f in fields(LinkConfig)]
-    flagged = {key: flag for key, (_, flag) in _FIELDS.items() if flag}
-    assert set(flagged) == set(FLAG_SAMPLES)
+    assert set(FLAG_SAMPLES) == set(_FIELDS)  # every key has a flag
     seen = []
     monkeypatch.setattr(cli, "run_experiment", seen.append)
-    for key, flag in flagged.items():
+    for key, (_, flag) in _FIELDS.items():
         text = FLAG_SAMPLES[key]
         cfg_file = tmp_path / f"{key}.cfg"
         cfg_file.write_text(f"{key} = {text}\n")
@@ -211,10 +212,11 @@ def test_cli_snr_too_large_for_a_float_exits_1(tmp_path, capsys):
     assert [(r["snr_db"], r["ber"] == "0.0") for r in rows] == [("-5.0", False), ("inf", True)]
 
 
-# total_power is not a key (the budget is fixed): the parser names it
+# total_power and f_max are not keys (the budget and the broadcast error
+# scale are fixed): the parser names them, whatever their value
 @pytest.mark.parametrize("line, flags", [
     ("f_max = nan", []), ("f_max = inf", []), ("total_power = 1", []),
-    ("", ["--bits-feedback", "2000"]),
+    ("", ["--bits-feedback", "2000"]), ("f_max = 1", []),
 ])
 def test_cli_non_finite_power_or_huge_feedback_exits_1(tmp_path, capsys, line, flags):
     cfg_file = tmp_path / "exp.cfg"
@@ -271,6 +273,17 @@ def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, 
         assert rc == 1
         assert "x.csv" in capsys.readouterr().err
     assert main(["run", "--out", str(tmp_path)]) == 1
+
+
+def test_cli_empty_out_exits_1_naming_the_key(tmp_path, monkeypatch, capsys):
+    # an empty path is refused as such, not resolved to the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("out =\n")
+    for argv in (["--out", ""], ["--config", str(cfg_file)]):
+        assert main(["run", "--scheme", "ZF", "--channels", "1", *argv]) == 1, argv
+        assert "error: out must be a non-empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
 
 
 def _disk_full_after(n_values):
@@ -406,6 +419,46 @@ def test_cli_pool_starts_no_more_workers_than_a_point_has_trials(tmp_path, monke
     assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
     assert sizes == [2, 2]  # one pool per SNR point, one worker per channel
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_cli_pooled_output_is_the_serial_output_under_every_start_method(tmp_path, monkeypatch,
+                                                                          method):
+    monkeypatch.setattr(link_sim, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    # an SLP scheme, so a worker that does not inherit the parent's modules loads SciPy itself
+    args = ["run", "--scheme", "SLP_IN_BLOCK", "--users", "2", "--antennas", "2",
+            "--block-len", "4", "--snr-db", "30", "--channels", "3"]
+    for experiment in ("BER_SWEEP", "F_TRACE"):
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            outputs.append(tmp_path / f"{experiment}-{workers}.csv")
+            assert main(args + ["--experiment", experiment, "--out", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes(), experiment
+
+
+_RUN_TRIAL = link_sim._run_trial
+
+
+def _trial_whose_worker_dies(cfg, scheme, spec, snr_index, sigma2, trial_index):
+    """The engine's trial, except that trial 1 ends its worker process as a crash would."""
+    if trial_index == 1:
+        os._exit(7)
+    return _RUN_TRIAL(cfg, scheme, spec, snr_index, sigma2, trial_index)
+
+
+def test_cli_pool_worker_that_dies_exits_2_and_keeps_the_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(link_sim, "_run_trial", _trial_whose_worker_dies)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    out = tmp_path / "prev.csv"
+    out.write_text("previous,results\n1,2\n")
+    before = out.read_bytes()
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+                 "--snr-db", "10", "--channels", "4", "--out", str(out)]) == 2
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]  # no temporary file left behind
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")

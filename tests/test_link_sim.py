@@ -40,16 +40,14 @@ def test_config_validation():
         make_cfg(modulation=13)
     with pytest.raises(ConfigurationError):
         make_cfg(feedback_bits=0)
-    with pytest.raises(ConfigurationError):
-        make_cfg(f_max=0.0)
-    # a non-finite f_max, one too large for a float and a B whose 2**B overflows a float
-    for value in (float("nan"), INF, -INF, 0.0, 10**400):
-        with pytest.raises(ConfigurationError, match="f_max"):
-            make_cfg(f_max=value)
+    # a B whose 2**B overflows a float
     for bits in (1024, 2000):
         with pytest.raises(ConfigurationError, match="feedback_bits"):
             make_cfg(feedback_bits=bits)
     assert make_cfg(feedback_bits=link_sim.MAX_FEEDBACK_BITS).feedback_bits == 1023
+    # the broadcast error scale is fixed (link_sim.F_MAX), not a key
+    with pytest.raises(TypeError, match="f_max"):
+        LinkConfig(f_max=1.0)
     with pytest.raises(ConfigurationError, match="seed"):
         make_cfg(seed=-1)
     with pytest.raises(ConfigurationError, match="empty"):
@@ -84,8 +82,8 @@ def test_config_validation():
 # wrong-typed values, each refused, naming its key, before any engine code sees it
 @pytest.mark.parametrize("key, value", [
     ("quantization", "no"), ("quantization", None), ("seed", 1.5), ("channels", 2.5),
-    ("block_len", 2.5), ("modulation", 16.0), ("antennas", 4.0), ("users", "2"), ("f_max", "1"),
-    ("f_max", True), ("feedback_bits", True), ("out", 5),
+    ("block_len", 2.5), ("modulation", 16.0), ("antennas", 4.0), ("users", "2"),
+    ("feedback_bits", True), ("out", 5),
     pytest.param("snr_db", ("10",), id="snr_db-str"),
     pytest.param("snr_db", (True,), id="snr_db-bool"),
     pytest.param("snr_db", np.array(10.0), id="snr_db-0d-array"),
@@ -101,7 +99,7 @@ def test_config_rejects_a_wrong_type_naming_its_key(key, value):
     {"users": np.int64(2), "antennas": np.int64(2), "block_len": np.int64(4), "modulation": np.int64(16),
      "feedback_bits": np.int64(5), "channels": np.int64(2), "seed": np.int64(9)},
     {"snr_db": np.array([10.0, 20.0])},
-    {"snr_db": (np.float64(10.0), np.float64(20.0)), "f_max": np.float64(1.0), "quantization": np.bool_(True)},
+    {"snr_db": (np.float64(10.0), np.float64(20.0)), "quantization": np.bool_(True)},
 ], ids=["int64-sizes", "float64-snr-array", "float64-scalars"])
 def test_numpy_typed_config_runs_as_its_python_twin(tmp_path, experiment, numpy_keys):
     python_keys = {key: np.asarray(value).tolist() for key, value in numpy_keys.items()}
@@ -111,7 +109,7 @@ def test_numpy_typed_config_runs_as_its_python_twin(tmp_path, experiment, numpy_
     for name, keys in (("numpy", numpy_keys), ("python", python_keys)):
         cfg = make_cfg(**{**base, **keys, "out": tmp_path / f"{name}.csv"})
         assert all(type(v) is float for v in cfg.snr_db)
-        assert type(cfg.users) is int and type(cfg.f_max) is float and type(cfg.quantization) is bool
+        assert type(cfg.users) is int and type(cfg.quantization) is bool
         assert run_experiment(cfg) == 0
         paths.append(tmp_path / f"{name}.csv")
     numpy_csv, python_csv = (path.read_bytes() for path in paths)
@@ -126,14 +124,14 @@ def test_numpy_typed_config_runs_as_its_python_twin(tmp_path, experiment, numpy_
 
 def test_quantize_variance():
     rng = trial_rng(4)
-    draws = quantize_broadcast(np.full(100_000, 10.0), 5, 1.0, rng)
+    draws = quantize_broadcast(np.full(100_000, 10.0), 5, rng)
     measured = np.var(draws - 10.0)
     assert measured == pytest.approx(1.0 / 32.0, rel=0.03)
 
 
 def test_quantize_floor():
     rng = trial_rng(5)
-    values = quantize_broadcast(np.full(50, 1e-7), 5, 1.0, rng)
+    values = quantize_broadcast(np.full(50, 1e-7), 5, rng)
     assert min(values) >= 1e-6
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from slpsim.slp_core import (
 )
 
 from ci_oracle import margin_oracle_for_instance
+from exact_ci_oracle import exact_margin_squared
 
 SPEC16 = build_constellation(16)
 SPEC4 = build_constellation(4)
@@ -172,6 +174,23 @@ def test_solver_matches_bruteforce_oracle(seed, order, users, extra_antennas, ma
     assert sol.margin == pytest.approx(margin_oracle_for_instance(inst), abs=1e-3)
     assert sol.gap <= 1e-8 * max(1.0, sol.margin)
     assert verify_solution(inst, sol).passed
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_solver_matches_the_exact_rational_oracle(order):
+    """Three Rayleigh draws per K <= 4 and N_T in K..K+2: the solver's margin
+    is the exact active-set margin to 1e-12 relative."""
+    spec = build_constellation(order)
+    for users in range(1, 5):
+        for antennas in range(users, users + 3):
+            for draw in range(3):
+                rng = trial_rng(draw, users, antennas)
+                H = generate_channel(users, antennas, rng)
+                inst = build_instance(ChannelRealization(H), spec.points[rng.integers(0, order, users)], spec)
+                exact = exact_margin_squared(inst)
+                assert exact is not None, (users, antennas, draw)
+                assert solve_ci_max(inst).margin == pytest.approx(math.sqrt(exact), rel=1e-12), \
+                    (users, antennas, draw)
 
 
 @settings(max_examples=60, deadline=None)
