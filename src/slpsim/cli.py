@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import shutil
+import stat
 import sys
 from enum import Enum
 from pathlib import Path
@@ -78,19 +79,9 @@ def _parse_schemes(text: str) -> tuple:
     return names
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"cannot parse boolean value {text!r}")
-
-
 # Config keys in LinkConfig field order, each with the parser that reads its
 # text, from a config file or from the command line alike, and the
-# `slpsim run` flag that sets it. The flag of a boolean key takes no value
-# and means "key = off".
+# `slpsim run` flag that sets it.
 _FIELDS = {
     "users": (int, "--users"),
     "antennas": (int, "--antennas"),
@@ -101,7 +92,6 @@ _FIELDS = {
     "feedback_bits": (int, "--bits-feedback"),
     "channels": (int, "--channels"),
     "seed": (int, "--seed"),
-    "quantization": (_parse_bool, "--no-quantization"),
     "experiment": (str, "--experiment"),
     "out": (str, "--out"),
 }
@@ -222,10 +212,10 @@ def run_experiment(cfg: LinkConfig) -> int:
     """Run the configured experiment and write its CSV. Returns 0 on success.
 
     Rows go, as each SNR point makes them, to a temporary file beside
-    ``out`` that is renamed onto it on success. An ``out`` that is a
-    directory or a file this user may not write, and a missing directory,
-    fail before the first trial. A run that fails leaves no new file behind
-    and an existing ``out`` intact.
+    ``out`` that is renamed onto it on success. An existing ``out`` that is
+    not a regular file (a directory, a FIFO, a device) or that this user may
+    not write, and a missing directory, fail before the first trial. A run
+    that fails leaves no new file behind and an existing ``out`` intact.
     """
     if cfg.experiment is Experiment.F_TRACE:
         columns, make_rows = TRACE_COLUMNS, _trace_rows
@@ -233,7 +223,10 @@ def run_experiment(cfg: LinkConfig) -> int:
         columns, make_rows = SWEEP_COLUMNS, _sweep_rows
     out = Path(cfg.out).resolve()  # through a symlink, even a dangling one, onto its target
     with contextlib.suppress(FileNotFoundError):  # a new out is made by the rename
-        os.close(os.open(out, os.O_WRONLY))  # a directory or an unwritable file fails here
+        # checked before it is opened: opening a FIFO that has no reader blocks
+        if not stat.S_ISREG(out.stat().st_mode):
+            raise ConfigurationError(f"out {str(out)!r} exists and is not a regular file")
+        os.close(os.open(out, os.O_WRONLY))  # an unwritable file fails here
     _write_csv(out, columns, make_rows(cfg))
     return 0
 
@@ -291,13 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run an experiment and write its CSV")
     run_parser.add_argument("--config", help="key = value experiment file")
-    for key, (parse, flag) in _FIELDS.items():
-        if parse is _parse_bool:
-            run_parser.add_argument(flag, dest=key, action="store_const", const="off",
-                                    default=argparse.SUPPRESS, help=f"{key} = off")
-        else:
-            run_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS,
-                                    help=f"config key {key}")
+    for key, (_, flag) in _FIELDS.items():
+        run_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"config key {key}")
     verify_parser = sub.add_parser("verify", help="check the CI solver on two seeded blocks")
     verify_parser.add_argument("--config", help="optional experiment file to take sizes from")
     verify_parser.add_argument("--seed", default=argparse.SUPPRESS, help="config key seed")

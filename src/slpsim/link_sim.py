@@ -38,7 +38,10 @@ log = logging.getLogger(__name__)
 
 WORKERS_ENV = "SLPSIM_WORKERS"
 MAX_WORKERS = 64
-MAX_FEEDBACK_BITS = 1023  # largest B for which 2.0**B is a finite float
+# Largest B for which 2.0**B is a finite float. Its broadcast error (standard
+# deviation 2^-511.5, about 1e-154) is below half an ulp of any f >= F_FLOOR,
+# so B = MAX_FEEDBACK_BITS gives an exact broadcast.
+MAX_FEEDBACK_BITS = 1023
 
 # Floor applied to a quantized rescaling factor: the additive Gaussian error
 # model permits nonpositive values, which are physically meaningless.
@@ -77,7 +80,6 @@ class LinkConfig:
     feedback_bits: int = 5
     channels: int = 100
     seed: int = 1
-    quantization: bool = True
     experiment: Experiment = Experiment.BER_SWEEP
     out: str = "results.csv"
 
@@ -136,9 +138,6 @@ class LinkConfig:
             repeated = [v for v, count in Counter(values).items() if count > 1]
             if repeated:
                 raise ConfigurationError(f"{key} lists {repeated[0]} more than once")
-        if not isinstance(self.quantization, (bool, np.bool_)):
-            raise ConfigurationError(f"quantization must be a bool, got {self.quantization!r}")
-        object.__setattr__(self, "quantization", bool(self.quantization))
         if not isinstance(self.out, (str, os.PathLike)) or not os.fspath(self.out):
             raise ConfigurationError(f"out must be a non-empty str or os.PathLike path, got {self.out!r}")
         try:
@@ -155,7 +154,7 @@ class BlockResult:
 
     n_bit_errors: int
     n_user_block_errors: int
-    f_ideal: np.ndarray           # pre-quantization rescaling factor per symbol
+    f_ideal: np.ndarray           # rescaling factor per symbol, before the broadcast
 
     @property
     def f_spread(self) -> float:
@@ -229,7 +228,9 @@ def simulate_block(
 
     Each scheme yields its precoded block, its per-symbol powers and its ideal
     rescaling factors. A block-level scheme broadcasts one factor per block,
-    uniform SLP one per symbol duration.
+    uniform SLP one per symbol duration. Every broadcast passes through the
+    B-bit error model of ``quantize_broadcast``; B is its only setting, and
+    ``feedback_bits = MAX_FEEDBACK_BITS`` makes the broadcast exact.
     """
     scheme = Scheme(scheme)
     K, M = cfg.users, cfg.block_len
@@ -255,9 +256,8 @@ def simulate_block(
 
     # A block-level scheme's factors are equal over the block, so its first
     # one stands for all; for in-block SLP, f_spread shows that equalization.
-    broadcast = f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal
-    if cfg.quantization:
-        broadcast = quantize_broadcast(broadcast, cfg.feedback_bits, rng)
+    broadcast = quantize_broadcast(f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal,
+                                   cfg.feedback_bits, rng)
     received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (H @ precoded) + noise)
     errors_per_user = bit_errors(labels, demodulate(spec, received)).sum(axis=1)
     return BlockResult(

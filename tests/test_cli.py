@@ -2,6 +2,7 @@ import csv
 import functools
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +60,7 @@ def test_parse_config_defaults(tmp_path):
 FLAG_SAMPLES = {
     "users": "3", "antennas": "5", "block_len": "7", "modulation": "64",
     "schemes": "ZF,RZF", "snr_db": "0:10:20", "feedback_bits": "3", "channels": "9",
-    "seed": "4", "quantization": "off", "experiment": "F_TRACE", "out": "trace.csv",
+    "seed": "4", "experiment": "F_TRACE", "out": "trace.csv",
 }
 
 
@@ -72,9 +73,8 @@ def test_fields_table_gives_flags_and_file_keys_one_meaning(tmp_path, monkeypatc
         text = FLAG_SAMPLES[key]
         cfg_file = tmp_path / f"{key}.cfg"
         cfg_file.write_text(f"{key} = {text}\n")
-        argv = [flag] if flag == "--no-quantization" else [flag, text]
         seen.clear()
-        main(["run", *argv])
+        main(["run", flag, text])
         main(["run", "--config", str(cfg_file)])
         from_flag, from_file = seen
         assert from_flag == from_file, key
@@ -83,9 +83,10 @@ def test_fields_table_gives_flags_and_file_keys_one_meaning(tmp_path, monkeypatc
 
 def test_parse_config_unknown_key(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
-    # an unknown key, a line without "=" and a word that is no boolean
+    # unknown keys (quantization is not a key: the broadcast is always modelled)
+    # and a line without "="
     for line, message in (("userz = 4", "userz"), ("users 4", "expected 'key = value'"),
-                          ("quantization = maybe", "cannot parse boolean value 'maybe'")):
+                          ("quantization = off", "unknown key 'quantization'")):
         cfg_file.write_text(line + "\n")
         with pytest.raises(ConfigurationError, match=message):
             parse_config(cfg_file)
@@ -147,14 +148,11 @@ def test_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path, capsys):
 def test_parse_config_comments_and_schemes(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
-        "# experiment setup\nschemes = ZF, RZF\nsnr_db = 0:10:20\nquantization = off\n"
+        "# experiment setup\nschemes = ZF, RZF\nsnr_db = 0:10:20\n"
     )
     spec = parse_config(cfg_file)
     assert spec.schemes == (Scheme.ZF, Scheme.RZF)
     assert spec.snr_db == (0.0, 10.0, 20.0)
-    assert spec.quantization is False
-    cfg_file.write_text("quantization = on\n")
-    assert parse_config(cfg_file).quantization is True
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):
@@ -179,9 +177,11 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         assert rc == 1
         assert message in capsys.readouterr().err
     # flag values are read by the config-file parsers, and usage errors are
-    # configuration errors too
+    # configuration errors too; the broadcast is always modelled, so there is
+    # no --no-quantization (--bits-feedback 1023 gives an exact one)
     for bad in (["--users", "abc"], ["--channels", "1.5"], ["--mod", "x"],
-                ["--experiment", "FOO"], ["--experiment", "THROUGHPUT_SWEEP"], ["--bogus", "1"]):
+                ["--experiment", "FOO"], ["--experiment", "THROUGHPUT_SWEEP"], ["--bogus", "1"],
+                ["--no-quantization"]):
         assert main(["run", *bad, "--out", str(tmp_path / "x.csv")]) == 1, bad
         assert bad[0].lstrip("-") in capsys.readouterr().err.lower()
     assert main([]) == 1
@@ -205,18 +205,19 @@ def test_cli_snr_too_large_for_a_float_exits_1(tmp_path, capsys):
         assert "'1e400'" in capsys.readouterr().err
     assert not out.exists()
     assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
-                 "--channels", "2", "--no-quantization", "--snr-db=-5,INF",
+                 "--channels", "2", "--bits-feedback", "1023", "--snr-db=-5,INF",
                  "--out", str(out)]) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["snr_db"], r["ber"] == "0.0") for r in rows] == [("-5.0", False), ("inf", True)]
 
 
-# total_power and f_max are not keys (the budget and the broadcast error
-# scale are fixed): the parser names them, whatever their value
+# total_power, f_max and quantization are not keys (the budget and the
+# broadcast error scale are fixed, and the broadcast is always modelled):
+# the parser names them, whatever their value
 @pytest.mark.parametrize("line, flags", [
     ("f_max = nan", []), ("f_max = inf", []), ("total_power = 1", []),
-    ("", ["--bits-feedback", "2000"]), ("f_max = 1", []),
+    ("", ["--bits-feedback", "2000"]), ("f_max = 1", []), ("quantization = off", []),
 ])
 def test_cli_non_finite_power_or_huge_feedback_exits_1(tmp_path, capsys, line, flags):
     cfg_file = tmp_path / "exp.cfg"
@@ -390,9 +391,10 @@ def test_cli_writes_an_out_with_a_251_character_name(tmp_path):
 
 
 def test_cli_writes_beside_the_temporary_file_a_killed_run_left(tmp_path):
-    """A run killed before its cleanup leaves its temporary file, named after
-    its process id; a later run with that id writes out and leaves the file be."""
-    stale = tmp_path / f".slpsim-{os.getpid()}.tmp"
+    """A run killed before its cleanup leaves its temporary file, named
+    .slpsim-<16 random hex digits>.tmp; a later run draws its own name, writes
+    out and leaves the file be."""
+    stale = tmp_path / f".slpsim-{os.urandom(8).hex()}.tmp"
     stale.write_text("killed run\n")
     out = tmp_path / "x.csv"
     assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
@@ -400,6 +402,31 @@ def test_cli_writes_beside_the_temporary_file_a_killed_run_left(tmp_path):
     assert out.read_text().startswith(",".join(SWEEP_COLUMNS))
     assert stale.read_text() == "killed run\n"
     assert sorted(tmp_path.iterdir()) == sorted([out, stale])
+
+
+def _env_with_src(**extra):
+    """This environment plus ``extra``, with this package's source first on
+    PYTHONPATH, for a fresh interpreter."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_cli_fifo_out_exits_1_and_is_left_as_it_was(tmp_path):
+    """Opening a FIFO that has no reader for writing blocks, so the run is a
+    subprocess with a timeout: a hang fails this test, not the whole suite."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run([sys.executable, "-m", "slpsim.cli", "run", "--scheme", "ZF",
+                           "--users", "2", "--antennas", "2", "--block-len", "4",
+                           "--snr-db", "10", "--channels", "1", "--out", str(fifo)],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert str(fifo.resolve()) in proc.stderr and "not a regular file" in proc.stderr
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]  # no temporary file left behind
 
 
 def test_cli_pool_starts_no_more_workers_than_a_point_has_trials(tmp_path, monkeypatch):
@@ -542,9 +569,7 @@ def test_scipy_loads_on_the_first_ci_solve(tmp_path):
         "assert cli.main(['run', '--scheme', 'SLP_IN_BLOCK', *args]) == 0",
         "print(loaded())",
     ])
-    env = {k: v for k, v in os.environ.items() if k != WORKERS_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
+    env = {k: v for k, v in _env_with_src().items() if k != WORKERS_ENV}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.csv")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -571,11 +596,9 @@ def test_scipy_is_loaded_before_an_slp_pool_forks():
         "    print(*seen)",
         "    seen.clear()",
     ])
-    env = {**os.environ, WORKERS_ENV: "2"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_env_with_src(**{WORKERS_ENV: "2"}), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False False False False", "True True True True"]
 

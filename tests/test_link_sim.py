@@ -21,7 +21,7 @@ INF = float("inf")
 def make_cfg(**kw):
     base = dict(
         users=2, antennas=2, block_len=10, modulation=16,
-        snr_db=(20.0,), channels=5, seed=9, quantization=True,
+        snr_db=(20.0,), channels=5, seed=9,
     )
     base.update(kw)
     return LinkConfig(**base)
@@ -81,9 +81,8 @@ def test_config_validation():
 
 # wrong-typed values, each refused, naming its key, before any engine code sees it
 @pytest.mark.parametrize("key, value", [
-    ("quantization", "no"), ("quantization", None), ("seed", 1.5), ("channels", 2.5),
-    ("block_len", 2.5), ("modulation", 16.0), ("antennas", 4.0), ("users", "2"),
-    ("feedback_bits", True), ("out", 5),
+    ("seed", 1.5), ("channels", 2.5), ("block_len", 2.5), ("modulation", 16.0),
+    ("antennas", 4.0), ("users", "2"), ("feedback_bits", True), ("out", 5),
     pytest.param("snr_db", ("10",), id="snr_db-str"),
     pytest.param("snr_db", (True,), id="snr_db-bool"),
     pytest.param("snr_db", np.array(10.0), id="snr_db-0d-array"),
@@ -99,7 +98,7 @@ def test_config_rejects_a_wrong_type_naming_its_key(key, value):
     {"users": np.int64(2), "antennas": np.int64(2), "block_len": np.int64(4), "modulation": np.int64(16),
      "feedback_bits": np.int64(5), "channels": np.int64(2), "seed": np.int64(9)},
     {"snr_db": np.array([10.0, 20.0])},
-    {"snr_db": (np.float64(10.0), np.float64(20.0)), "quantization": np.bool_(True)},
+    {"snr_db": (np.float64(10.0), np.float64(20.0))},
 ], ids=["int64-sizes", "float64-snr-array", "float64-scalars"])
 def test_numpy_typed_config_runs_as_its_python_twin(tmp_path, experiment, numpy_keys):
     python_keys = {key: np.asarray(value).tolist() for key, value in numpy_keys.items()}
@@ -109,7 +108,7 @@ def test_numpy_typed_config_runs_as_its_python_twin(tmp_path, experiment, numpy_
     for name, keys in (("numpy", numpy_keys), ("python", python_keys)):
         cfg = make_cfg(**{**base, **keys, "out": tmp_path / f"{name}.csv"})
         assert all(type(v) is float for v in cfg.snr_db)
-        assert type(cfg.users) is int and type(cfg.quantization) is bool
+        assert type(cfg.users) is int
         assert run_experiment(cfg) == 0
         paths.append(tmp_path / f"{name}.csv")
     numpy_csv, python_csv = (path.read_bytes() for path in paths)
@@ -127,6 +126,12 @@ def test_quantize_variance():
     draws = quantize_broadcast(np.full(100_000, 10.0), 5, rng)
     measured = np.var(draws - 10.0)
     assert measured == pytest.approx(1.0 / 32.0, rel=0.03)
+
+
+def test_quantize_at_max_feedback_bits_is_exact():
+    # an error of standard deviation 2^-511.5 is below half an ulp of any f >= F_FLOOR
+    f = np.logspace(-6, 6, 1000)
+    assert np.array_equal(quantize_broadcast(f, link_sim.MAX_FEEDBACK_BITS, trial_rng(6)), f)
 
 
 def test_quantize_floor():
@@ -158,7 +163,8 @@ def test_each_scheme_broadcasts_once_per_block_or_per_symbol(monkeypatch, scheme
 
 @pytest.mark.parametrize("scheme", [Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM, Scheme.ZF])
 def test_noiseless_blocks_error_free(scheme):
-    cfg = make_cfg(users=4, antennas=4, block_len=10, snr_db=(INF,), quantization=False)
+    cfg = make_cfg(users=4, antennas=4, block_len=10, snr_db=(INF,),
+                   feedback_bits=link_sim.MAX_FEEDBACK_BITS)  # an exact broadcast
     for trial in range(5):
         rng = trial_rng(cfg.seed, 0, trial)
         channel = generate_channel(4, 4, rng)
@@ -320,7 +326,8 @@ def test_metrics_consistency():
 
 def test_ber_decreases_with_snr():
     cfg = make_cfg(users=2, antennas=2, channels=60,
-                   block_len=20, snr_db=(0.0, 15.0, 30.0), quantization=False)
+                   block_len=20, snr_db=(0.0, 15.0, 30.0),
+                   feedback_bits=link_sim.MAX_FEEDBACK_BITS)  # an exact broadcast
     records = run_monte_carlo(cfg, Scheme.ZF)
     bers = [r.ber for r in records]
     # allow 3-sigma counting slack on each downward step
