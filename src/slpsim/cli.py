@@ -11,6 +11,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 import shutil
 import stat
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import slp_core
+from . import power_alloc, slp_core
 from .channel import generate_channel
 from .constellation import build_constellation
 from .errors import ConfigurationError
@@ -113,7 +114,8 @@ def _read_config_file(path) -> dict:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a '#' starts a comment only at the start of the line or after whitespace
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -211,8 +213,9 @@ def _trace_rows(cfg: LinkConfig):
 def run_experiment(cfg: LinkConfig) -> int:
     """Run the configured experiment and write its CSV. Returns 0 on success.
 
-    Rows go, as each SNR point makes them, to a temporary file beside
-    ``out`` that is renamed onto it on success. An existing ``out`` that is
+    Rows go to a temporary file beside ``out`` that is renamed onto it on
+    success: a BER_SWEEP scheme's rows once its last SNR point is done,
+    F_TRACE rows as each SNR point makes them. An existing ``out`` that is
     not a regular file (a directory, a FIFO, a device) or that this user may
     not write, and a missing directory, fail before the first trial. A run
     that fails leaves no new file behind and an existing ``out`` intact.
@@ -256,11 +259,11 @@ def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
             worst = max(worst, report.inner, report.outer, report.ball, report.norm_dev)
             worst_gap = max(worst_gap, sol.gap)
             min_margin = min(min_margin, sol.margin)
-    passed = non_optimal == 0 and worst <= 1e-6 and min_margin > 0
+    passed = non_optimal == 0 and worst <= 1e-6 and min_margin > power_alloc.MIN_MARGIN
     return passed, (
         f"{n_blocks} blocks of {cfg.block_len}: "
         f"{non_optimal} non-optimal solves, worst residual {worst:.2e}, "
-        f"worst duality gap {worst_gap:.2e}, smallest margin {min_margin:.3f}"
+        f"worst duality gap {worst_gap:.2e}, smallest margin {min_margin:.3g}"
     )
 
 

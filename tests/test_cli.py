@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slpsim import baselines, cli, link_sim, slp_core
+from slpsim import baselines, cli, link_sim, power_alloc, slp_core
 from slpsim.cli import (
     _FIELDS,
     SWEEP_COLUMNS,
@@ -149,10 +149,14 @@ def test_parse_config_comments_and_schemes(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         "# experiment setup\nschemes = ZF, RZF\nsnr_db = 0:10:20\n"
+        "out = run#3.csv\nusers = 4  # four\n"
     )
     spec = parse_config(cfg_file)
     assert spec.schemes == (Scheme.ZF, Scheme.RZF)
     assert spec.snr_db == (0.0, 10.0, 20.0)
+    # a '#' starts a comment only at the start of a line or after whitespace
+    assert spec.out == "run#3.csv"
+    assert spec.users == 4
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):
@@ -768,6 +772,18 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_slp_solutions", lambda cfg: (False, "injected"))
     assert main(["verify"]) == 3
     assert capsys.readouterr().out == "FAIL slp-solver: injected\n"
+
+
+def test_cli_verify_fails_on_a_margin_the_allocation_rejects(tmp_path, monkeypatch, capsys):
+    # a channel 1e-13 times a Rayleigh draw gives margins at or below MIN_MARGIN
+    draw = cli.generate_channel
+    monkeypatch.setattr(cli, "generate_channel", lambda *args: 1e-13 * draw(*args))
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("block_len = 5\n")
+    assert main(["verify", "--config", str(cfg_file)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL slp-solver: 2 blocks of 5: 0 non-optimal solves")
+    assert 0 < float(out.split("smallest margin ")[1]) <= power_alloc.MIN_MARGIN
 
 
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):

@@ -1,44 +1,77 @@
-"""A small seeded sweep, pinned end to end: the gate for any change that is
-meant to leave the engine's output as it is.
+"""A small seeded sweep at every order, pinned end to end: the gate for any
+change that is meant to leave the engine's output as it is.
 
-The fixture runs all four schemes of a 4×4, M=10, 16-QAM system over three
-SNR points and four channels with seed 2026 (about 0.6 s). ``PINNED`` holds
-each point's ``n_bits`` and ``n_errors``, compared exactly, and its
-``mean_f``, compared to 1e-9 relative. They were recorded at commit 9cadab3,
-from ``run_monte_carlo(FIXTURE, scheme)`` for each scheme.
+The fixture runs all four schemes of a 4×4, M=10 system with four channels
+and seed 2026 at 4-, 16-, 64- and 256-QAM, each over three SNR points where
+errors still occur (about 1 s in all). ``PINNED`` holds each point's
+``n_bits`` and ``n_errors``, compared exactly, and its ``mean_f``, compared
+to 1e-9 relative, from ``run_monte_carlo(config, scheme)``. The 16-QAM
+entries were recorded at commit 9cadab3, the ZF and RZF entries at the other
+orders at 8cd1f39, and the SLP entries at the other orders at f518e3a.
 
 Every error count depends on the whole chain: the seed layout, the bit and
 noise draws, the Gray map, the CI solves, the power allocation, the broadcast
-quantization and the slicer. So a refactor that moves any of them fails here,
-even when each unit test still passes. Only re-pin for a change that is meant
-to move outputs, such as serving both SLP schemes from one solve per symbol
-(ROADMAP item 2), which changes the random streams, and say why.
+and the slicer. So a refactor that moves any of them fails here, even when
+each unit test still passes. Only re-pin for a change that is meant to move
+outputs, and say why. The common-random-numbers layout of ROADMAP item 2
+changes the random streams and re-pins this table; sharing one SLP solve
+between the two SLP schemes and one pool per run (item 13) leaves every
+output byte-identical and must not re-pin it.
 """
 
 import pytest
 
 from slpsim.link_sim import LinkConfig, Scheme, run_monte_carlo
 
-FIXTURE = LinkConfig(users=4, antennas=4, block_len=10, snr_db=(0.0, 10.0, 20.0),
-                     channels=4, seed=2026)
+SNR_DB = {4: (0.0, 10.0, 20.0), 16: (0.0, 10.0, 20.0), 64: (10.0, 20.0, 30.0),
+          256: (10.0, 25.0, 40.0)}
 
-# (n_bits, n_errors, mean_f) at 0, 10 and 20 dB
+# (n_bits, n_errors, mean_f) at the three SNR points of SNR_DB[order]
 PINNED = {
-    Scheme.SLP_IN_BLOCK: [(640, 233, 5.99933635991984), (640, 152, 7.659526800578066),
-                          (640, 37, 9.836935135825328)],
-    Scheme.SLP_UNIFORM: [(640, 216, 5.763832793180728), (640, 136, 7.284820095518572),
-                         (640, 31, 8.89994224358147)],
-    Scheme.ZF: [(640, 232, 6.116385660229659), (640, 168, 8.120837280954573),
-                (640, 42, 9.790764779102556)],
-    Scheme.RZF: [(640, 207, 1.3411284861327348), (640, 131, 3.574842431528478),
-                 (640, 27, 6.638504462985722)],
+    (4, Scheme.SLP_IN_BLOCK): [(320, 81, 5.487596046543575), (320, 23, 7.090693691549151),
+                               (320, 1, 8.230539584088048)],
+    (4, Scheme.SLP_UNIFORM): [(320, 79, 5.322089844210533), (320, 20, 6.7248865181636805),
+                              (320, 3, 7.203538584878265)],
+    (4, Scheme.ZF): [(320, 102, 6.116385660229659), (320, 46, 8.120837280954573),
+                     (320, 3, 9.790764779102556)],
+    (4, Scheme.RZF): [(320, 68, 1.3411284861327348), (320, 14, 3.574842431528478),
+                      (320, 2, 6.638504462985722)],
+    (16, Scheme.SLP_IN_BLOCK): [(640, 233, 5.99933635991984), (640, 152, 7.659526800578066),
+                                (640, 37, 9.836935135825328)],
+    (16, Scheme.SLP_UNIFORM): [(640, 216, 5.763832793180728), (640, 136, 7.284820095518572),
+                               (640, 31, 8.89994224358147)],
+    (16, Scheme.ZF): [(640, 232, 6.116385660229659), (640, 168, 8.120837280954573),
+                      (640, 42, 9.790764779102556)],
+    (16, Scheme.RZF): [(640, 207, 1.3411284861327348), (640, 131, 3.574842431528478),
+                       (640, 27, 6.638504462985722)],
+    (64, Scheme.SLP_IN_BLOCK): [(960, 233, 5.83425329171485), (960, 101, 8.205312230972279),
+                                (960, 14, 8.092397606665982)],
+    (64, Scheme.SLP_UNIFORM): [(960, 214, 5.525567918396189), (960, 76, 7.571439898923337),
+                               (960, 9, 7.322402488864275)],
+    (64, Scheme.ZF): [(960, 244, 6.116385660229659), (960, 99, 8.120837280954573),
+                      (960, 17, 9.790764779102556)],
+    (64, Scheme.RZF): [(960, 215, 3.5014010544977916), (960, 92, 6.780135422990659),
+                       (960, 18, 9.184922608299114)],
+    (256, Scheme.SLP_IN_BLOCK): [(1280, 415, 6.370546573215714), (1280, 140, 8.616997156857993),
+                                 (1280, 7, 9.492636960861525)],
+    (256, Scheme.SLP_UNIFORM): [(1280, 396, 6.094340871860342), (1280, 123, 8.235262718849855),
+                                (1280, 6, 9.031905381805085)],
+    (256, Scheme.ZF): [(1280, 413, 6.116385660229659), (1280, 134, 8.120837280954573),
+                       (1280, 7, 9.790764779102556)],
+    (256, Scheme.RZF): [(1280, 382, 3.5014010544977916), (1280, 143, 7.619058098203636),
+                        (1280, 7, 9.723537429769504)],
 }
 
 
-@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-def test_seeded_sweep_is_pinned(scheme):
-    records = run_monte_carlo(FIXTURE, scheme)
-    assert [r.snr_db for r in records] == list(FIXTURE.snr_db)
-    assert [(r.n_bits, r.n_errors) for r in records] == [(b, e) for b, e, _ in PINNED[scheme]]
-    assert [r.mean_f for r in records] == pytest.approx([f for _, _, f in PINNED[scheme]], rel=1e-9)
+# 16-QAM, the default order, is named by its scheme alone
+@pytest.mark.parametrize("order, scheme", list(PINNED),
+                         ids=[s.value if o == 16 else f"{o}QAM-{s.value}" for o, s in PINNED])
+def test_seeded_sweep_is_pinned(order, scheme):
+    config = LinkConfig(users=4, antennas=4, block_len=10, modulation=order,
+                        snr_db=SNR_DB[order], channels=4, seed=2026)
+    records = run_monte_carlo(config, scheme)
+    expected = PINNED[order, scheme]
+    assert [r.snr_db for r in records] == list(SNR_DB[order])
+    assert [(r.n_bits, r.n_errors) for r in records] == [(b, e) for b, e, _ in expected]
+    assert [r.mean_f for r in records] == pytest.approx([f for _, _, f in expected], rel=1e-9)
     assert all(r.n_failed == 0 for r in records)
