@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import errno
 import functools
 import multiprocessing
 import os
@@ -304,6 +306,52 @@ def _disk_full_after(n_values):
     return disk_full
 
 
+def _renameat2_failing_with(err):
+    """A stand-in for ``cli._renameat2`` that fails as the kernel does with ``err``."""
+    def renameat2(*args):
+        ctypes.set_errno(err)
+        return -1
+
+    return renameat2
+
+
+def _no_replace(*args):
+    raise AssertionError("os.replace called where the swap should have run")
+
+
+def _require_swap(tmp_path):
+    """Skip unless renameat2(RENAME_EXCHANGE), called here and not through
+    ``cli``, swaps two files in ``tmp_path``."""
+    try:
+        renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("no renameat2 in this platform's C library")
+    renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    renameat2.restype = ctypes.c_int
+    a, b = tmp_path / "swap-a", tmp_path / "swap-b"
+    a.write_text("a")
+    b.write_text("b")
+    failed = renameat2(-100, bytes(a), -100, bytes(b), 2)  # AT_FDCWD, RENAME_EXCHANGE
+    reason = os.strerror(ctypes.get_errno())
+    contents = a.read_text() + b.read_text()
+    a.unlink()
+    b.unlink()
+    if failed:
+        pytest.skip(f"renameat2(RENAME_EXCHANGE) fails on this filesystem: {reason}")
+    assert contents == "ba"
+
+
+@pytest.fixture(params=["swap", "fallback"])
+def replacement(request, tmp_path, monkeypatch):
+    """How an existing out is replaced: by the swap, with os.replace made to
+    fail, or by os.replace after the swap reports that it cannot run."""
+    if request.param == "swap":
+        _require_swap(tmp_path)
+        monkeypatch.setattr(os, "replace", _no_replace)
+    else:
+        monkeypatch.setattr(cli, "_renameat2", _renameat2_failing_with(errno.ENOSYS))
+
+
 def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_fmt", _disk_full_after(20))
     out = tmp_path / "partial.csv"
@@ -313,7 +361,8 @@ def test_cli_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_failed_write_keeps_the_out_that_was_there(tmp_path, monkeypatch, capsys):
+def test_cli_failed_write_keeps_the_out_that_was_there(tmp_path, monkeypatch, capsys,
+                                                       replacement):
     out = tmp_path / "prev.csv"
     out.write_text("previous,results\n1,2\n")
     before = out.read_bytes()
@@ -334,7 +383,7 @@ def test_cli_failed_write_keeps_the_out_that_was_there(tmp_path, monkeypatch, ca
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-def test_cli_writes_through_a_symlinked_out(tmp_path):
+def test_cli_writes_through_a_symlinked_out(tmp_path, replacement):
     target = tmp_path / "results" / "sweep.csv"
     target.parent.mkdir()
     target.write_text("old\n")
@@ -348,7 +397,7 @@ def test_cli_writes_through_a_symlinked_out(tmp_path):
 
 
 @pytest.mark.parametrize("mode, linked", [(0o600, False), (0o640, True)], ids=["direct", "symlink"])
-def test_cli_run_keeps_the_mode_of_an_existing_out(tmp_path, mode, linked):
+def test_cli_run_keeps_the_mode_of_an_existing_out(tmp_path, mode, linked, replacement):
     target = tmp_path / "r.csv"
     target.write_text("old\n")
     target.chmod(mode)
@@ -364,6 +413,70 @@ def test_cli_run_keeps_the_mode_of_an_existing_out(tmp_path, mode, linked):
     assert out.is_symlink() == linked
     assert target.read_text().startswith(",".join(SWEEP_COLUMNS))
     assert target.stat().st_mode & 0o777 == mode
+
+
+def test_cli_swaps_an_existing_out_without_a_rename_onto_it(tmp_path, monkeypatch):
+    """An existing out is exchanged with the new file in one renameat2 call;
+    os.replace, which ext4 makes wait for the new file's data, is not called."""
+    _require_swap(tmp_path)
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+            "--snr-db", "10,20", "--channels", "2", "--out"]
+    fresh = tmp_path / "fresh" / "x.csv"
+    fresh.parent.mkdir()
+    assert main(args + [str(fresh)]) == 0
+    out = tmp_path / "existing" / "x.csv"
+    out.parent.mkdir()
+    out.write_text("old\n")
+    out.chmod(0o600)
+    monkeypatch.setattr(os, "replace", _no_replace)
+    assert main(args + [str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert list(out.parent.iterdir()) == [out]
+
+
+def test_cli_swapped_out_old_file_that_cannot_be_deleted_is_left(tmp_path, monkeypatch):
+    """After the swap the run has succeeded: an old file that cannot be
+    deleted stays under the temporary name, as a killed run's file does."""
+    _require_swap(tmp_path)
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+
+    def undeletable(path, missing_ok=False):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "unlink", undeletable)
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+                 "--snr-db", "10", "--channels", "1", "--out", str(out)]) == 0
+    assert out.read_text().startswith(",".join(SWEEP_COLUMNS))
+    [left] = [p for p in tmp_path.iterdir() if p != out]
+    assert left.name.startswith(".slpsim-") and left.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("err", [errno.ENOENT, errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, None],
+                         ids=lambda err: errno.errorcode.get(err, "no-renameat2"))
+def test_swap_reports_that_it_cannot_run(tmp_path, monkeypatch, err):
+    """No such out, a filesystem that refuses the flag, a kernel or a libc
+    without renameat2 (None): the caller falls back to os.replace."""
+    monkeypatch.setattr(cli, "_renameat2", err and _renameat2_failing_with(err))
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.write_text("a")
+    b.write_text("b")
+    assert cli._swap(a, b) is False
+    assert (a.read_text(), b.read_text()) == ("a", "b")
+
+
+def test_cli_swap_that_fails_exits_1_and_keeps_the_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_renameat2", _renameat2_failing_with(errno.EACCES))
+    out = tmp_path / "prev.csv"
+    out.write_text("previous,results\n1,2\n")
+    before = out.read_bytes()
+    assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "5",
+                 "--snr-db", "10", "--channels", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out.resolve()) in err and "Permission denied" in err, err
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]  # no .slpsim-* file left behind
 
 
 def test_cli_out_through_a_dangling_symlink(tmp_path, monkeypatch, capsys):
