@@ -333,9 +333,12 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
     """Run the configured sweep for one scheme, one SNR point at a time.
 
     Yields each point's (record, results by trial index) once its pool, if
-    any, is shut down. SLPSIM_WORKERS (default 1: serial) bounds the pool;
-    results are reduced in trial order, so they do not depend on scheduling.
-    Raises SolverFailure when every trial of an SNR point fails.
+    any, is shut down. SLPSIM_WORKERS (default 1: serial) counts the
+    processes that run a point's trials, the parent included: a pool of
+    ``workers - 1`` processes runs the first trials while the parent runs the
+    last ``channels // workers``. Results are reduced in trial order, so they
+    do not depend on scheduling. Raises SolverFailure when every trial of an
+    SNR point fails.
     """
     scheme = Scheme(scheme)
     spec = build_constellation(cfg.modulation)
@@ -347,10 +350,15 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
         sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
         task = partial(_run_trial, cfg, scheme, spec, i, sigma2)
         if pooled:
-            chunk = max(1, cfg.channels // (4 * n_workers))
             # a fork pool starts all its workers at once: start no more than there are trials
-            with ProcessPoolExecutor(max_workers=min(n_workers, cfg.channels)) as pool:
-                results = list(pool.map(task, range(cfg.channels), chunksize=chunk))
+            workers = min(n_workers, cfg.channels)
+            split = cfg.channels - cfg.channels // workers
+            chunk = max(1, split // (4 * (workers - 1)))
+            with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+                first = pool.map(task, range(split), chunksize=chunk)
+                # the parent's share is static, fixed by (channels, workers), and runs while the pool works
+                last = [task(j) for j in range(split, cfg.channels)]
+                results = list(first) + last
         else:
             results = [task(j) for j in range(cfg.channels)]
         yield _aggregate(cfg, scheme, snr_db, results), results

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from slpsim import baselines, cli, link_sim, power_alloc, slp_core
+from slpsim.channel import generate_channel, trial_rng
 from slpsim.cli import (
     _FIELDS,
     SWEEP_COLUMNS,
@@ -561,7 +562,8 @@ def test_cli_pool_starts_no_more_workers_than_a_point_has_trials(tmp_path, monke
     monkeypatch.setattr(link_sim, "ProcessPoolExecutor", Recording)
     monkeypatch.setenv(WORKERS_ENV, "4")
     assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
-    assert sizes == [2, 2]  # one pool per SNR point, one worker per channel
+    # one pool per SNR point: the parent runs one trial and one worker the other
+    assert sizes == [1, 1]
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
@@ -603,6 +605,63 @@ def test_cli_pool_worker_that_dies_exits_2_and_keeps_the_out(tmp_path, monkeypat
     assert "BrokenProcessPool" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert list(tmp_path.iterdir()) == [out]  # no temporary file left behind
+
+
+def _trial_logging_pid(log, cfg, scheme, spec, snr_index, sigma2, trial_index):
+    """The engine's trial, after appending "trial pid" to ``log``."""
+    with open(log, "a") as fh:
+        fh.write(f"{trial_index} {os.getpid()}\n")
+    return _RUN_TRIAL(cfg, scheme, spec, snr_index, sigma2, trial_index)
+
+
+@pytest.mark.parametrize("workers, parent_trials, pool_pids", [
+    pytest.param("2", {3, 4}, 1, id="2-workers"), pytest.param("3", {4}, 2, id="3-workers")])
+def test_cli_parent_runs_the_last_trials_of_a_pooled_point(tmp_path, monkeypatch, workers,
+                                                          parent_trials, pool_pids):
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+            "--snr-db", "10", "--channels", "5"]
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
+    log = tmp_path / "trials.log"
+    monkeypatch.setattr(link_sim, "_run_trial", functools.partial(_trial_logging_pid, log))
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
+    pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
+    assert sorted(pids) == list(range(5))
+    assert {t for t, pid in pids.items() if pid == os.getpid()} == parent_trials
+    others = {pid for t, pid in pids.items() if t not in parent_trials}
+    assert os.getpid() not in others and 1 <= len(others) <= pool_pids
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+_ZF_PRECODER = baselines.zf_precoder
+
+
+def _zf_singular_on(channels, H):
+    """ZF, except that it finds each of ``channels`` singular."""
+    if any(np.array_equal(H, bad) for bad in channels):
+        raise np.linalg.LinAlgError("injected singular channel")
+    return _ZF_PRECODER(H)
+
+
+def test_cli_pooled_point_discards_failed_trials_of_either_share(tmp_path, monkeypatch, caplog):
+    # at 2 workers and 5 channels the pool runs trials 0-2 and the parent trials 3-4
+    failing = (1, 4)
+    channels = [generate_channel(2, 2, trial_rng(1, 0, trial)) for trial in failing]
+    monkeypatch.setattr(baselines, "zf_precoder", functools.partial(_zf_singular_on, channels))
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+            "--snr-db", "10", "--channels", "5"]
+    warnings = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        caplog.clear()
+        assert main(args + ["--out", str(tmp_path / f"{workers}.csv")]) == 0
+        warnings.append([m for m in caplog.messages if "trial discarded" in m])
+    assert warnings[0] == warnings[1]
+    assert [w.split(": ")[0] for w in warnings[0]] == [
+        f"trial discarded (scheme=ZF, snr=10.0 dB, seed=1, trial={trial})" for trial in failing
+    ]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
