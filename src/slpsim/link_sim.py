@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
 import numbers
 import os
+import sys
 from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +50,7 @@ MAX_FEEDBACK_BITS = 1023
 F_FLOOR = 1e-6
 # Broadcast error scale (variance F_MAX / 2^B), fixed like power_alloc.P_T: no run varies it.
 F_MAX = 1.0
+_POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
 
 class Scheme(str, Enum):
@@ -338,7 +341,10 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
     ``workers - 1`` processes runs the first trials while the parent runs the
     last ``channels // workers``. Results are reduced in trial order, so they
     do not depend on scheduling. Raises SolverFailure when every trial of an
-    SNR point fails.
+    SNR point fails. On Linux pools fork whatever the interpreter's default;
+    forkserver, the default from CPython 3.14, imports NumPy and SciPy again
+    in every pool and ran 4-5x slower. CPython 3.12+ warns when a process
+    with OpenBLAS threads forks. Other platforms keep their default.
     """
     scheme = Scheme(scheme)
     spec = build_constellation(cfg.modulation)
@@ -354,7 +360,7 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
             workers = min(n_workers, cfg.channels)
             split = cfg.channels - cfg.channels // workers
             chunk = max(1, split // (4 * (workers - 1)))
-            with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=_POOL_CONTEXT) as pool:
                 first = pool.map(task, range(split), chunksize=chunk)
                 # the parent's share is static, fixed by (channels, workers), and runs while the pool works
                 last = [task(j) for j in range(split, cfg.channels)]

@@ -7,7 +7,6 @@ import os
 import stat
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -570,8 +569,7 @@ def test_cli_pool_starts_no_more_workers_than_a_point_has_trials(tmp_path, monke
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_cli_pooled_output_is_the_serial_output_under_every_start_method(tmp_path, monkeypatch,
                                                                           method):
-    monkeypatch.setattr(link_sim, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    monkeypatch.setattr(link_sim, "_POOL_CONTEXT", multiprocessing.get_context(method))
     # an SLP scheme, so a worker that does not inherit the parent's modules loads SciPy itself
     args = ["run", "--scheme", "SLP_IN_BLOCK", "--users", "2", "--antennas", "2",
             "--block-len", "4", "--snr-db", "30", "--channels", "3"]
@@ -753,15 +751,20 @@ def test_scipy_loads_on_the_first_ci_solve(tmp_path):
 
 
 def test_scipy_is_loaded_before_an_slp_pool_forks():
-    """A pooled SLP sweep imports SciPy once, in the parent, so no worker of
-    any pool imports it again; a pooled ZF/RZF sweep never loads it."""
+    """A pooled SLP sweep imports SciPy once, in the parent, and on Linux every
+    pool forks even where the interpreter's default is forkserver, so no worker
+    of any pool imports it again; a pooled ZF/RZF sweep never loads it."""
     script = "\n".join([
-        "import sys",
+        "import multiprocessing, sys",
+        "if 'forkserver' in multiprocessing.get_all_start_methods():",
+        "    multiprocessing.set_start_method('forkserver', force=True)",
+        "print(multiprocessing.get_start_method())",
         "from slpsim import link_sim",
         "seen = []",
         "class Recording(link_sim.ProcessPoolExecutor):",
         "    def __init__(self, *args, **kwargs):",
-        "        seen.append('scipy.optimize' in sys.modules)",
+        "        method = (kwargs.get('mp_context') or multiprocessing.get_context()).get_start_method()",
+        "        seen.append(f\"{'scipy.optimize' in sys.modules}:{method}\")",
         "        super().__init__(*args, **kwargs)",
         "link_sim.ProcessPoolExecutor = Recording",
         "cfg = link_sim.LinkConfig(users=2, antennas=2, block_len=5, snr_db=(10.0, 20.0),",
@@ -776,7 +779,10 @@ def test_scipy_is_loaded_before_an_slp_pool_forks():
                           env=_env_with_src(**{WORKERS_ENV: "2"}), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False False False False", "True True True True"]
+    default, zf_rzf, slp = proc.stdout.splitlines()
+    method = "fork" if sys.platform == "linux" else default
+    assert zf_rzf.split() == [f"False:{method}"] * 4
+    assert slp.split() == [f"True:{method}"] * 4
 
 
 def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
