@@ -6,17 +6,20 @@ Conventions (documented here because they fix the bit-error accounting):
     half, each mapped with a binary-reflected Gray code over the amplitude
     levels in ascending order;
   * a per-axis component is outer when its amplitude sits at the outermost
-    level of the grid, inner otherwise;
+    level of the grid, inner otherwise; components are read from the
+    interleaved real view of a complex array, entry k's real part at 2k and
+    its imaginary part at 2k+1, so (..., n) points have (..., 2n) of them;
   * ``modulate`` reads the last axis of its bits as one symbol's log2(order)
     bits, MSB first, and returns the labels they spell with their points;
   * the receiver decides labels, not bits: ``demodulate`` returns the Gray
     label of each sample's nearest point, so the bit errors of a decision
     are the set bits of (sent label XOR decided label), which ``bit_errors``
     counts;
-  * an axis is sliced by the sign of x and the count of positive decision
-    boundaries (midpoints of adjacent levels) strictly below |x|, exact as the
-    levels are sign-symmetric: a tie goes to the smaller magnitude, +-0 to
-    the level just below 0, and a sample beyond the grid to an outermost level.
+  * a component x is sliced by its sign and the count of positive decision
+    boundaries, the rounded midpoints 0.5 * (l_i + l_{i+1}), strictly below
+    |x|, exact as the levels are sign-symmetric: a sample exactly on one goes
+    to the smaller magnitude even where the exact midpoint is an ulp away,
+    +-0 to the level just below 0, and one beyond the grid to an outermost level.
 """
 
 from __future__ import annotations
@@ -99,23 +102,23 @@ def _slice_keys(spec: ConstellationSpec, x: np.ndarray) -> np.ndarray:
     return key
 
 
-def classify_component(spec: ConstellationSpec, points) -> tuple[np.ndarray, np.ndarray]:
+def classify_component(spec: ConstellationSpec, points) -> np.ndarray:
     """Flag the outer axes of constellation points.
 
-    Returns ``(re_outer, im_outer)``, boolean arrays shaped like ``points``.
-    Raises ValueError if any point is not (within 1e-9) a constellation point.
-    Each point is sliced per axis to its nearest grid point, the only one it
-    can be within 1e-9 of; an axis is outer at the first or last level.
+    Returns one boolean mask over the interleaved components, point k's real
+    axis at 2k and imaginary axis at 2k+1: ``(..., 2n)`` for points shaped
+    ``(..., n)``, 2 flags for a 0-d point. Raises ValueError if any point is
+    not (within 1e-9) a constellation point. Each point is sliced per axis to
+    its nearest grid point, the only one it can be within 1e-9 of; an axis is
+    outer at the first or last level.
     """
-    points = np.asarray(points, dtype=complex)
-    i_re = spec.key_levels[_slice_keys(spec, points.real)]
-    i_im = spec.key_levels[_slice_keys(spec, points.imag)]
-    member = np.abs(points - (spec.levels[i_re] + 1j * spec.levels[i_im])) <= _POINT_ATOL
+    points = np.ascontiguousarray(points, dtype=complex)
+    index = spec.key_levels[_slice_keys(spec, points.view(float))]
+    member = np.abs(points - spec.levels[index].view(complex)) <= _POINT_ATOL
     if not member.all():
         foreign = complex(points[~member][0])
         raise ValueError(f"{foreign!r} is not a point of the {spec.order}-QAM constellation")
-    last = spec.levels.size - 1
-    return (i_re == 0) | (i_re == last), (i_im == 0) | (i_im == last)
+    return (index == 0) | (index == spec.levels.size - 1)
 
 
 def modulate(spec: ConstellationSpec, bits) -> tuple[np.ndarray, np.ndarray]:
@@ -147,14 +150,15 @@ def demodulate(spec: ConstellationSpec, r) -> np.ndarray:
     Takes an array of complex samples and returns the decided Gray labels,
     integers shaped like ``r``: ``spec.points[labels]`` are the decided
     points, and label bit ``log2(order) - 1 - i`` is the i-th decided bit.
+    The even (real-axis) components give a label's high half, the odd its low.
     Raises ValueError for a sample that is not finite.
     """
     r = np.asarray(r, dtype=complex)
     if not np.isfinite(r).all():
         raise ValueError(f"samples must be finite, got {r[~np.isfinite(r)][0]}")
-    codes = spec.key_codes  # uint8 holds every label: at most 8 bits
-    high = codes[_slice_keys(spec, r.real)] << spec.bits_per_symbol // 2
-    return (high | codes[_slice_keys(spec, r.imag)]).astype(np.intp)
+    codes = spec.key_codes[_slice_keys(spec, np.ascontiguousarray(r).view(float))]
+    labels = (codes[..., 0::2] << spec.bits_per_symbol // 2) | codes[..., 1::2]  # 8 bits fit uint8
+    return labels.astype(np.intp).reshape(r.shape)
 
 
 def bit_errors(sent, decided) -> np.ndarray:

@@ -13,8 +13,9 @@ into the region). The precoder maximizes t subject to those constraints and
 ||x||_2 <= 1.
 
 An instance stores its outer components as one interleaved (2K,) boolean
-mask (user k's real axis at 2k, imaginary at 2k+1); a block is classified in
-one call and each symbol duration takes its row of the block's masks.
+mask (user k's real axis at 2k, imaginary at 2k+1). A block is classified
+in one classify_component call, whose (M, 2K) mask is in that layout, and
+each symbol duration takes its row.
 
 Solution method: each scale factor is a fixed linear functional of the
 stacked real vector w = [Re x; Im x]. The channel's real form
@@ -223,16 +224,10 @@ class ResidualReport:
     passed: bool
 
 
-def _outer_masks(spec: ConstellationSpec, symbols: np.ndarray) -> np.ndarray:
-    """Interleaved outer masks: (..., K) symbol vectors give (..., 2K) flags."""
-    re_outer, im_outer = classify_component(spec, symbols)
-    return np.stack([re_outer, im_outer], axis=-1).reshape(*symbols.shape[:-1], -1)
-
-
 def build_instance(channel: ChannelRealization, symbols, spec: ConstellationSpec) -> CiInstance:
     """Split the 2K (user, axis) components of a symbol vector into inner/outer."""
     symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-    return CiInstance(channel, symbols, _outer_masks(spec, symbols))
+    return CiInstance(channel, symbols, classify_component(spec, symbols))
 
 
 def solve_block(H: np.ndarray, symbols, spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +238,7 @@ def solve_block(H: np.ndarray, symbols, spec: ConstellationSpec) -> tuple[np.nda
     vectors = np.ascontiguousarray(np.transpose(symbols), dtype=complex)
     X = np.empty((channel.n_antennas, len(vectors)), dtype=complex)
     margins = np.empty(len(vectors))
-    for m, (vector, outer) in enumerate(zip(vectors, _outer_masks(spec, vectors))):
+    for m, (vector, outer) in enumerate(zip(vectors, classify_component(spec, vectors))):
         instance = CiInstance(channel, vector, outer)
         sol = solve_ci_max(instance)
         if sol.status is not SolverStatus.OPTIMAL:

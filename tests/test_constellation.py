@@ -35,7 +35,8 @@ def test_64qam_levels():
 def test_qpsk_all_corner_points():
     spec = build_constellation(4)
     np.testing.assert_allclose(spec.levels, np.array([-1, 1]) / np.sqrt(2))
-    re_outer, im_outer = classify_component(spec, spec.points)
+    mask = classify_component(spec, spec.points)
+    re_outer, im_outer = mask[..., 0::2], mask[..., 1::2]
     assert re_outer.all() and im_outer.all()
 
 
@@ -70,7 +71,8 @@ def test_gray_adjacency(order):
 def test_classify_16qam_types():
     spec = build_constellation(16)
     points = np.array([1 + 1j, 3 + 1j, 1 + 3j, 3 + 3j]) / np.sqrt(10)
-    re_outer, im_outer = classify_component(spec, points)
+    mask = classify_component(spec, points)
+    re_outer, im_outer = mask[..., 0::2], mask[..., 1::2]
     assert re_outer.tolist() == [False, True, False, True]
     assert im_outer.tolist() == [False, False, True, True]
 
@@ -79,7 +81,8 @@ def test_classify_16qam_types():
 def test_classify_partition_16qam(order):
     spec = build_constellation(order)
     side = int(np.sqrt(order))
-    re_outer, im_outer = classify_component(spec, spec.points)
+    mask = classify_component(spec, spec.points)
+    re_outer, im_outer = mask[..., 0::2], mask[..., 1::2]
     # the two outermost levels of an axis, paired with every level of the other
     assert re_outer.sum() == im_outer.sum() == order * 2 // side
     types = Counter(zip(re_outer.tolist(), im_outer.tolist()))
@@ -111,7 +114,8 @@ def _classify_by_distance_matrix(spec, points):
 
 def _classify_or_none(spec, points):
     try:
-        return tuple(mask.reshape(-1) for mask in classify_component(spec, points))
+        mask = classify_component(spec, points)
+        return mask[..., 0::2].reshape(-1), mask[..., 1::2].reshape(-1)
     except ValueError:
         return None
 
@@ -133,6 +137,29 @@ def test_classify_matches_the_distance_matrix_rule(order):
             assert (got is None) == (expected is None), (base, offset)
             if expected is not None:
                 np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_classify_and_demodulate_read_every_shape_through_the_interleaved_view(order):
+    """A point's real axis is component 2k and its imaginary axis 2k+1, for a
+    0-d point, a vector, a block and a transposed (non-contiguous) block."""
+    spec = build_constellation(order)
+    rng = np.random.default_rng(order)
+    block = spec.points[rng.integers(0, order, (6, 5))]
+    for points, shape in ((np.array(block[2, 3]), (2,)), (block[1], (10,)),
+                          (block, (6, 10)), (block.T, (5, 12))):
+        mask = classify_component(spec, points)
+        assert mask.shape == shape
+        re_outer, im_outer = _classify_by_distance_matrix(spec, points)
+        np.testing.assert_array_equal(mask, np.stack([re_outer, im_outer], axis=-1).reshape(shape))
+
+    r = block + 0.2 * (rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape))
+    nearest = np.abs(r[..., None] - spec.points).argmin(axis=-1)  # labels index spec.points
+    labels = demodulate(spec, r[2, 3])
+    assert isinstance(labels, np.ndarray) and labels.shape == () and labels == nearest[2, 3]
+    labels = demodulate(spec, r.T)
+    assert labels.shape == (5, 6)
+    np.testing.assert_array_equal(labels, nearest.T)
 
 
 def test_modulate_label_zero():
