@@ -336,15 +336,16 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
     """Run the configured sweep for one scheme, one SNR point at a time.
 
     Yields each point's (record, results by trial index) once its pool, if
-    any, is shut down. SLPSIM_WORKERS (default 1: serial) counts the
-    processes that run a point's trials, the parent included: a pool of
-    ``workers - 1`` processes runs the first trials while the parent runs the
-    last ``channels // workers``. Results are reduced in trial order, so they
-    do not depend on scheduling. Raises SolverFailure when every trial of an
-    SNR point fails. On Linux pools fork whatever the interpreter's default;
-    forkserver, the default from CPython 3.14, imports NumPy and SciPy again
-    in every pool and ran 4-5x slower. CPython 3.12+ warns when a process
-    with OpenBLAS threads forks. Other platforms keep their default.
+    any, is shut down. SLPSIM_WORKERS (default 1: serial) counts the processes
+    that run a point's trials, the parent included. While the parent runs the
+    last ``channels // workers``, each of at most ``workers - 1`` pool
+    processes runs a contiguous share of the rest as one task: each task waits
+    on the pool's feeder threads, which need the GIL the parent holds. Results
+    are reduced in trial order, so they do not depend on scheduling. Raises
+    SolverFailure when every trial of an SNR point fails. On Linux pools fork
+    whatever the default: forkserver (CPython 3.14's) imports NumPy and SciPy
+    again in every pool, 4-5x slower. CPython 3.12+ warns when a process with
+    OpenBLAS threads forks. Other platforms keep their default.
     """
     scheme = Scheme(scheme)
     spec = build_constellation(cfg.modulation)
@@ -356,13 +357,12 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
         sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
         task = partial(_run_trial, cfg, scheme, spec, i, sigma2)
         if pooled:
-            # a fork pool starts all its workers at once: start no more than there are trials
+            # a fork pool starts all its workers at once: start no more than there are tasks
             workers = min(n_workers, cfg.channels)
             split = cfg.channels - cfg.channels // workers
-            chunk = max(1, split // (4 * (workers - 1)))
-            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=_POOL_CONTEXT) as pool:
+            chunk = math.ceil(split / (workers - 1))
+            with ProcessPoolExecutor(max_workers=math.ceil(split / chunk), mp_context=_POOL_CONTEXT) as pool:
                 first = pool.map(task, range(split), chunksize=chunk)
-                # the parent's share is static, fixed by (channels, workers), and runs while the pool works
                 last = [task(j) for j in range(split, cfg.channels)]
                 results = list(first) + last
         else:

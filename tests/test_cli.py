@@ -566,6 +566,33 @@ def test_cli_pool_starts_no_more_workers_than_a_point_has_trials(tmp_path, monke
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers, channels, tasks", [(2, 9, 1), (3, 9, 2), (4, 7, 3), (4, 5, 2)])
+def test_cli_pool_gets_each_workers_share_as_one_task(tmp_path, monkeypatch, workers, channels,
+                                                      tasks):
+    pools = []  # [max_workers, submit calls] of each pool; map submits once per chunk
+
+    class Recording(link_sim.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append([kwargs["max_workers"], 0])
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            pools[-1][1] += 1
+            return super().submit(*args, **kwargs)
+
+    args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+            "--snr-db", "10,20", "--channels", str(channels)]
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
+    monkeypatch.setattr(link_sim, "ProcessPoolExecutor", Recording)
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
+    assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
+    # workers - 1 tasks, one per pool process; at 4 workers and 5 channels the
+    # parent runs trial 4 and two tasks of two trials need only two processes
+    assert pools == [[tasks, tasks], [tasks, tasks]]
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_cli_pooled_output_is_the_serial_output_under_every_start_method(tmp_path, monkeypatch,
                                                                           method):
