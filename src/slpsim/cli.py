@@ -83,8 +83,8 @@ def _parse_schemes(text: str) -> tuple:
 
 
 # Config keys in LinkConfig field order, each with the parser that reads its
-# text, from a config file or from the command line alike, and the
-# `slpsim run` flag that sets it.
+# text, from a config file or from the command line alike, and the one flag
+# that sets it in `slpsim run` and `slpsim verify`.
 _FIELDS = {
     "users": (int, "--users"),
     "antennas": (int, "--antennas"),
@@ -103,9 +103,7 @@ _FIELDS = {
 def _parse_field(key: str, text: str, where: str):
     try:
         return _FIELDS[key][0](text)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a ConfigurationError is a ValueError
         raise ConfigurationError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
@@ -311,21 +309,29 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="slpsim",
+        prog="slpsim", allow_abbrev=False,
         description="Symbol-level precoding link simulator with in-block power allocation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_parser = sub.add_parser("run", help="run an experiment and write its CSV")
-    run_parser.add_argument("--config", help="key = value experiment file")
-    for key, (_, flag) in _FIELDS.items():
-        run_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"config key {key}")
-    verify_parser = sub.add_parser("verify", help="check the CI solver on two seeded blocks")
-    verify_parser.add_argument("--config", help="optional experiment file to take sizes from")
-    verify_parser.add_argument("--seed", default=argparse.SUPPRESS, help="config key seed")
+    for command, text in (("run", "run an experiment and write its CSV"),
+                          ("verify", "check the CI solver on two seeded blocks of the configured system")):
+        command_parser = sub.add_parser(command, help=text, allow_abbrev=False)
+        command_parser.add_argument("--config", help="key = value experiment file")
+        for key, (_, flag) in _FIELDS.items():
+            command_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"config key {key}")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with '-' (--snr-db -10:5:0) as a flag, but not in the
+    # --flag=value form; a flag or -h/--help after a value flag is left as it is
+    value_flags = {"--config", *(flag for _, flag in _FIELDS.values())}
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] in value_flags and argv[i + 1] not in value_flags | {"-h", "--help"}:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     try:
         args = _build_parser().parse_args(argv)
         flags = {key: text for key, text in vars(args).items() if key in _FIELDS}

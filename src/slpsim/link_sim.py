@@ -296,24 +296,23 @@ def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) ->
             f"first: {failures[0][1]}"
         )
 
+    if not blocks:  # no trial ran (channels = 0): nothing was measured
+        nan = math.nan
+        return MetricsRecord(
+            snr_db=snr_db, ber=nan, bler=nan, bler_counted=nan, t_eff=nan,
+            n_bits=0, n_errors=0, mean_f=nan, f_spread=nan, n_trials=0, n_failed=0,
+        )
     bps = int(np.log2(cfg.modulation))
     n_bits = len(blocks) * cfg.users * cfg.block_len * bps
     n_errors = sum(b.n_bit_errors for b in blocks)
-    ber = n_errors / n_bits if n_bits else 0.0
-    n_user_blocks = len(blocks) * cfg.users
-    bler_counted = (
-        sum(b.n_user_block_errors for b in blocks) / n_user_blocks if n_user_blocks else 0.0
-    )
+    ber = n_errors / n_bits
+    bler_counted = sum(b.n_user_block_errors for b in blocks) / (len(blocks) * cfg.users)
     bler = 1.0 - (1.0 - ber) ** (cfg.block_len * bps)
     t_eff = effective_throughput(
         ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, scheme
     )
-    mean_f = (
-        sum(float(b.f_ideal.sum()) for b in blocks) / (len(blocks) * cfg.block_len)
-        if blocks
-        else 0.0
-    )
-    f_spread = max((b.f_spread for b in blocks), default=0.0)
+    mean_f = sum(float(b.f_ideal.sum()) for b in blocks) / (len(blocks) * cfg.block_len)
+    f_spread = max(b.f_spread for b in blocks)
     return MetricsRecord(
         snr_db=snr_db, ber=ber, bler=bler, bler_counted=bler_counted, t_eff=t_eff,
         n_bits=n_bits, n_errors=n_errors, mean_f=mean_f, f_spread=f_spread,

@@ -4,6 +4,7 @@ import errno
 import functools
 import multiprocessing
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -216,6 +217,96 @@ def test_cli_snr_too_large_for_a_float_exits_1(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["snr_db"], r["ber"] == "0.0") for r in rows] == [("-5.0", False), ("inf", True)]
+
+
+@pytest.mark.parametrize("snr", ["-10:5:0", "-5,0,5", "-1e1"])
+def test_cli_snr_value_may_start_with_a_minus(tmp_path, snr):
+    # argparse reads a lone "-10:5:0" as a flag; the space form must still run
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"snr_db = {snr}\n")
+    base = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+            "--channels", "2"]
+    written = []
+    for i, args in enumerate((["--snr-db", snr], [f"--snr-db={snr}"], ["--config", str(cfg_file)])):
+        out = tmp_path / f"{i}.csv"
+        assert main([*base, *args, "--out", str(out)]) == 0, args
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert len(written[0].splitlines()) == 1 + len(parse_snr_values(snr))
+
+
+def test_cli_snr_minus_inf_by_flag_is_rejected_as_in_a_file(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("snr_db = -inf\n")
+    out = tmp_path / "x.csv"
+    errors = []
+    for args in (["--snr-db", "-inf"], ["--config", str(cfg_file)]):
+        assert main(["run", *args, "--out", str(out)]) == 1, args
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: snr_db value -inf ")
+    assert not out.exists()
+
+
+def test_cli_flag_after_a_value_flag_is_not_taken_as_its_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for args in (["--out", "--help"], ["--out", "-h"], ["--out", "--users", "2"], ["--users"]):
+        assert main(["run", *args]) == 1, args
+        assert "expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["run", "--user", "2"], "--user"),
+    (["run", "--snr", "10"], "--snr"),
+    (["run", "--o", "x.csv"], "--o"),
+    (["run", "--conf", "exp.cfg"], "--conf"),
+    (["verify", "--se", "3"], "--se"),
+])
+def test_cli_prefix_of_a_flag_is_not_that_flag(tmp_path, monkeypatch, capsys, argv, token):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", ran.append)
+    monkeypatch.setattr(cli, "check_slp_solutions", ran.append)
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {token}" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_cli_verify_takes_every_key_by_flag(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("users = 3\nantennas = 5\nblock_len = 7\nseed = 2\n")
+    assert main(["verify", "--users", "3", "--antennas", "5", "--block-len", "7", "--seed", "2"]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["verify", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out == by_flag
+    assert by_flag.startswith("PASS slp-solver: 2 blocks of 7:")
+
+
+def test_cli_run_and_verify_list_the_same_flags(capsys):
+    listed = []
+    for command in ("run", "verify"):
+        with pytest.raises(SystemExit) as help_exit:
+            main([command, "--help"])
+        assert help_exit.value.code == 0
+        listed.append(sorted(set(re.findall(r"--[a-z-]+", capsys.readouterr().out))))
+    assert listed[0] == listed[1]
+    assert listed[0] == sorted(["--help", "--config", *(flag for _, flag in _FIELDS.values())])
+
+
+@pytest.mark.parametrize("key, flag, text", [
+    ("users", "--users", "abc"),
+    ("snr_db", "--snr-db", "0:-5:40"),
+    ("schemes", "--scheme", "ZF,,RZF"),
+])
+def test_cli_bad_value_names_its_flag_or_file_line(tmp_path, capsys, key, flag, text):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"# sizes\nseed = 3\n{key} = {text}\n")
+    out = tmp_path / "x.csv"
+    for args, where in (([flag, text], flag), (["--config", str(cfg_file)], f"{cfg_file}:3")):
+        assert main(["run", *args, "--out", str(out)]) == 1, args
+        assert capsys.readouterr().err.startswith(f"error: {where}: bad value for {key!r}: ")
+    assert not out.exists()
 
 
 # total_power, f_max and quantization are not keys (the budget and the
@@ -827,7 +918,7 @@ def test_cli_point_where_every_trial_fails(tmp_path, monkeypatch, capsys):
     assert main(args + ["--channels", "0"]) == 0
     with open(tmp_path / "x.csv") as fh:
         [row] = list(csv.DictReader(fh))
-    assert row["n_bits"] == "0" and row["ber"] == "0.0"
+    assert row["n_bits"] == "0" and row["ber"] == "nan"
 
 
 def test_cli_ber_sweep_smoke(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,10 @@ def test_run_monte_carlo_empty():
     assert len(records) == 1
     assert records[0].n_bits == 0
     assert records[0].n_trials == 0
+    # nothing was sent: every rate is unknown, not error-free
+    assert (records[0].n_errors, records[0].n_failed) == (0, 0)
+    for name in ("ber", "bler", "bler_counted", "t_eff", "mean_f", "f_spread"):
+        assert math.isnan(getattr(records[0], name)), name
 
 
 def test_run_monte_carlo_deterministic():
