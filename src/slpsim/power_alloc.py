@@ -61,7 +61,7 @@ class KktCertificate:
 def _check_margins(margins: np.ndarray):
     if margins.ndim != 1 or margins.size < 1:
         raise ValueError("margins must be a non-empty 1-D vector")
-    if np.any(margins <= MIN_MARGIN):
+    if not (margins > MIN_MARGIN).all():
         raise DegenerateMarginError(
             f"margin {margins.min():.3e} is not positive; cannot allocate power"
         )
@@ -71,7 +71,7 @@ def allocate_in_block(margins, total_power: float) -> PowerAllocation:
     """Closed-form optimal in-block allocation and its common rescaling factor."""
     margins = np.asarray(margins, dtype=float)
     _check_margins(margins)
-    if total_power <= 0:
+    if not total_power > 0:
         raise ValueError(f"total power must be > 0, got {total_power}")
     inv_sq = margins**-2.0
     weight = inv_sq.sum()
@@ -90,7 +90,7 @@ def per_symbol_rescaling(margins, powers):
     margins = np.asarray(margins, dtype=float)
     powers = np.asarray(powers, dtype=float)
     _check_margins(np.atleast_1d(margins))
-    if np.any(powers <= 0):
+    if not (powers > 0).all():
         raise ValueError(f"powers must be > 0, got min {powers.min():.3e}")
     return 1.0 / (margins * np.sqrt(powers))
 
@@ -106,7 +106,7 @@ def verify_kkt(margins, powers, total_power: float, tol: float = 1e-9) -> KktCer
     margins = np.asarray(margins, dtype=float)
     powers = np.asarray(powers, dtype=float)
     _check_margins(margins)
-    if np.any(powers <= 0) or total_power <= 0:
+    if not ((powers > 0).all() and total_power > 0):
         raise ValueError("powers and total power must be positive")
 
     u = np.sqrt(powers)

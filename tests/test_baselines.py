@@ -71,5 +71,6 @@ def test_frobenius_normalization_gives_unit_average_power():
 def test_baseline_rescaling_validates():
     prec = zf_precoder(np.eye(2, dtype=complex))
     assert baseline_rescaling(prec, 1.0) == pytest.approx(np.sqrt(2))
-    with pytest.raises(ValueError):
-        baseline_rescaling(prec, 0.0)
+    for power in (0.0, np.nan):
+        with pytest.raises(ValueError, match="power must be > 0"):
+            baseline_rescaling(prec, power)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slpsim.channel import generate_channel, sample_noise, sigma2_from_snr, trial_rng
+from slpsim.channel import generate_channel, sample_bits, sample_noise, sigma2_from_snr, trial_rng
 from slpsim.slp_core import ChannelRealization
 
 
@@ -69,14 +69,36 @@ def test_noise_statistics():
 
 
 def test_noise_negative_variance_rejected():
-    with pytest.raises(ValueError, match="noise variance must be >= 0"):
-        sample_noise(-1.0, 1, trial_rng(0))
+    for sigma2 in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="noise variance must be >= 0"):
+            sample_noise(sigma2, 1, trial_rng(0))
     with pytest.raises(ValueError, match="count must be >= 0"):
         sample_noise(1.0, -1, trial_rng(0))
 
 
 def test_noise_empty_draw():
     assert sample_noise(1.0, 0, trial_rng(0)).size == 0
+
+
+@pytest.mark.parametrize("bps", [2, 4, 6, 8])
+@pytest.mark.parametrize("users, block_len", [(1, 1), (3, 7), (4, 50), (12, 200)])
+def test_sample_bits_matches_integers_draw(users, block_len, bps):
+    # a trial's order: the channel (doubles only), then the bits, then the noise
+    for seed in (0, 1, 2026):
+        rng, twin = trial_rng(seed, 3, 5), trial_rng(seed, 3, 5)
+        generate_channel(users, users, rng)
+        generate_channel(users, users, twin)
+        bits = sample_bits(rng, (users, block_len, bps))
+        assert bits.shape == (users, block_len, bps)
+        np.testing.assert_array_equal(bits, twin.integers(0, 2, size=(users, block_len, bps)))
+        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where integers leaves it
+
+
+def test_sample_bits_needs_pcg64_and_an_even_count():
+    with pytest.raises(ValueError, match="PCG64"):
+        sample_bits(np.random.Generator(np.random.MT19937(1)), (2, 2))
+    with pytest.raises(ValueError):  # half a raw word would leave a 32-bit half buffered
+        sample_bits(trial_rng(0), (3, 1))
 
 
 def test_sigma2_from_snr_values():

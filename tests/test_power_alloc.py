@@ -51,10 +51,12 @@ def test_degenerate_margin_raises():
         allocate_in_block([1.0, 0.0], 1.0)
     with pytest.raises(DegenerateMarginError):
         allocate_in_block([1.0, -0.5], 1.0)
+    with pytest.raises(DegenerateMarginError):  # a nan margin is no margin > 0 either
+        allocate_in_block([0.5, np.nan], 1.0)
     for margins in ([], [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="non-empty 1-D"):
             allocate_in_block(margins, 1.0)
-    for budget in (0.0, -1.0):
+    for budget in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="total power must be > 0"):
             allocate_in_block([1.0, 2.0], budget)
 
@@ -85,6 +87,10 @@ def test_per_symbol_rescaling_values():
         per_symbol_rescaling(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="powers"):
         per_symbol_rescaling(margins, np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="powers"):
+        per_symbol_rescaling([0.5, 0.4], [0.5, np.nan])
+    with pytest.raises(DegenerateMarginError):
+        per_symbol_rescaling([0.5, np.nan], [0.5, 0.5])
 
 
 def test_kkt_accepts_closed_form():
@@ -118,6 +124,11 @@ def test_kkt_flags_budget_violation():
     assert cert.primal_residual == pytest.approx(0.01, rel=1e-6)
     with pytest.raises(ValueError, match="powers and total power must be positive"):
         verify_kkt(margins, np.array([1.0, 0.0]), 1.0)
+    for powers, budget in (([0.5, np.nan], 1.0), ([0.5, 0.5], np.nan)):
+        with pytest.raises(ValueError, match="powers and total power must be positive"):
+            verify_kkt(margins, np.array(powers), budget)
+    with pytest.raises(DegenerateMarginError):
+        verify_kkt(np.array([1.0, np.nan]), np.array([0.5, 0.5]), 1.0)
 
 
 def test_oracle_matches_two_symbol_case():
