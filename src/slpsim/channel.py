@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 # NumPy 2 loads numpy.random lazily. Loading it here, in the parent, spares
 # every forked pool worker from importing it again.
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random import Generator, SeedSequence, default_rng
 
 from . import power_alloc
 
@@ -23,13 +23,12 @@ def generate_channel(n_users: int, n_antennas: int, rng: Generator) -> np.ndarra
 
 
 def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. CN(0, sigma2) samples (real/imag variance sigma2/2 each)."""
+    """Draw ``count`` i.i.d. CN(0, sigma2) samples (real/imag variance sigma2/2 each): one
+    unit-variance block scaled by sqrt(sigma2 / 2), the same draws at every sigma2, 0 too."""
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if sigma2 == 0.0:
-        return np.zeros(count, dtype=complex)
     noise = np.empty(count, dtype=complex)
     noise.real = rng.standard_normal(count)
     noise.imag = rng.standard_normal(count)
@@ -38,17 +37,10 @@ def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
 
 
 def sample_bits(rng: Generator, shape) -> np.ndarray:
-    """Draw fair 0/1 bits, uint32 shaped ``shape``, from a PCG64 rng.
-
-    Bit i is the top bit of the i-th 32-bit half of ``random_raw``, low half
-    first: with no 32-bit half buffered, the bits and stream position of
-    ``rng.integers(0, 2, shape)`` at half its cost. Raises ValueError for
-    another bit generator or an odd bit count.
-    """
-    if not isinstance(rng.bit_generator, PCG64):
-        raise ValueError(f"sample_bits needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
-    words = rng.bit_generator.random_raw(int(np.prod(shape)) // 2)
-    return (words.astype("<u8", copy=False).view("<u4") >> 31).reshape(shape)
+    """Draw fair 0/1 bits, uint8 shaped ``shape``, from any generator: the bits of
+    the next ceil(n / 8) bytes of ``rng.bytes``, MSB first, for a count n of any size."""
+    n = int(np.prod(shape))
+    return np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n).reshape(shape)
 
 
 def sigma2_from_snr(snr_db: float, block_len: int) -> float:

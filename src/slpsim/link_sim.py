@@ -8,11 +8,12 @@ schemes (in-block SLP, ZF, RZF) broadcast a single quantized factor per
 block, while uniform-power SLP needs an independently quantized factor per
 symbol duration.
 
-Determinism contract: each (SNR index, trial index) pair gets its own random
-substream derived from the experiment seed, so results are bit-identical
-regardless of execution order or worker count. A trial draws the channel,
-then its bits (``channel.sample_bits``: raw-word top bits), then the noise,
-then the broadcast error; another order or draw moves every seeded number.
+Determinism contract: each trial index gets one random substream derived
+from the experiment seed, so results are bit-identical regardless of
+execution order or worker count. At every SNR point a trial draws from it,
+in this order, the channel, its bits (``channel.sample_bits``), one
+unit-variance noise block and the broadcast error; the SNR point only scales
+the noise by its sigma. Another order or draw moves every seeded number.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class LinkConfig:
             raise ConfigurationError("snr_db grid is empty")
         object.__setattr__(self, "snr_db", tuple(float(v) for v in snr_db))
         # a repeated scheme would rerun its sweep, a repeated SNR value would
-        # rerun the point on another substream; both would write a second row
+        # rerun the point on the same substreams; both would write a second row
         schemes = [s.value for s in self.schemes]
         for key, values in (("schemes", schemes), ("snr_db", self.snr_db)):
             repeated = [v for v, count in Counter(values).items() if count > 1]
@@ -236,7 +237,8 @@ def simulate_block(
     uniform SLP one per symbol duration. Every broadcast passes through the
     B-bit error model of ``quantize_broadcast``; B is its only setting, and
     ``feedback_bits = MAX_FEEDBACK_BITS`` makes the broadcast exact. After the
-    channel, ``rng`` gives the bits (``sample_bits``), the noise and the broadcast error.
+    channel, ``rng`` gives the bits (``sample_bits``), a unit-variance noise
+    block that ``sigma2`` scales (drawn at ``sigma2 = 0`` too) and the broadcast error.
     """
     scheme = Scheme(scheme)
     K, M = cfg.users, cfg.block_len
@@ -273,10 +275,10 @@ def simulate_block(
     )
 
 
-def _run_trial(cfg: LinkConfig, scheme: Scheme, spec: ConstellationSpec, snr_index: int,
-               sigma2: float, trial_index: int):
+def _run_trial(cfg: LinkConfig, scheme: Scheme, spec: ConstellationSpec, sigma2: float,
+               trial_index: int):
     """The trial's BlockResult, or the reason it failed as "{type}: {message}"."""
-    rng = trial_rng(cfg.seed, snr_index, trial_index)
+    rng = trial_rng(cfg.seed, trial_index)
     try:
         H = generate_channel(cfg.users, cfg.antennas, rng)
         return simulate_block(cfg, scheme, H, sigma2, rng, spec)
@@ -355,9 +357,9 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
     pooled = n_workers > 1 and cfg.channels > 1
     if pooled and scheme in SLP_SCHEMES:
         slp_core._scipy_nnls()  # import SciPy once, before the forks, not in every worker
-    for i, snr_db in enumerate(cfg.snr_db):
+    for snr_db in cfg.snr_db:
         sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
-        task = partial(_run_trial, cfg, scheme, spec, i, sigma2)
+        task = partial(_run_trial, cfg, scheme, spec, sigma2)
         if pooled:
             # a fork pool starts all its workers at once: start no more than there are tasks
             workers = min(n_workers, cfg.channels)

@@ -57,8 +57,12 @@ def test_entry_statistics():
 
 
 def test_noise_zero_variance():
-    samples = sample_noise(0.0, 100, trial_rng(0))
+    rng, twin = trial_rng(0), trial_rng(0)
+    samples = sample_noise(0.0, 100, rng)
     assert np.all(samples == 0)
+    # zero noise scales the same unit draw as any other variance: the stream moves as at sigma2 = 1
+    sample_noise(1.0, 100, twin)
+    assert rng.standard_normal() == twin.standard_normal()
 
 
 def test_noise_statistics():
@@ -82,23 +86,31 @@ def test_noise_empty_draw():
 
 @pytest.mark.parametrize("bps", [2, 4, 6, 8])
 @pytest.mark.parametrize("users, block_len", [(1, 1), (3, 7), (4, 50), (12, 200)])
-def test_sample_bits_matches_integers_draw(users, block_len, bps):
-    # a trial's order: the channel (doubles only), then the bits, then the noise
+def test_sample_bits_are_the_bits_of_the_next_bytes(users, block_len, bps):
+    # a trial's order: the channel, then the bits, then the noise
+    shape = (users, block_len, bps)
     for seed in (0, 1, 2026):
-        rng, twin = trial_rng(seed, 3, 5), trial_rng(seed, 3, 5)
+        rng, twin = trial_rng(seed, 5), trial_rng(seed, 5)
         generate_channel(users, users, rng)
         generate_channel(users, users, twin)
-        bits = sample_bits(rng, (users, block_len, bps))
-        assert bits.shape == (users, block_len, bps)
-        np.testing.assert_array_equal(bits, twin.integers(0, 2, size=(users, block_len, bps)))
-        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where integers leaves it
+        bits = sample_bits(rng, shape)
+        assert bits.shape == shape and bits.dtype == np.uint8
+        assert np.all((bits == 0) | (bits == 1))
+        # MSB first, from the next ceil(n / 8) bytes, the last one's low bits unused
+        raw = np.frombuffer(twin.bytes(-(-bits.size // 8)), np.uint8)
+        np.testing.assert_array_equal(bits.reshape(-1), np.unpackbits(raw)[:bits.size])
+        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where bytes leaves it
+        assert np.array_equal(sample_bits(trial_rng(seed, 5, 1), shape),
+                              sample_bits(trial_rng(seed, 5, 1), shape))
 
 
-def test_sample_bits_needs_pcg64_and_an_even_count():
-    with pytest.raises(ValueError, match="PCG64"):
-        sample_bits(np.random.Generator(np.random.MT19937(1)), (2, 2))
-    with pytest.raises(ValueError):  # half a raw word would leave a 32-bit half buffered
-        sample_bits(trial_rng(0), (3, 1))
+def test_sample_bits_takes_any_generator_and_count():
+    odd = sample_bits(trial_rng(0), (3, 1))
+    assert odd.shape == (3, 1) and odd.dtype == np.uint8 and np.all(odd <= 1)
+    mt = sample_bits(np.random.Generator(np.random.MT19937(1)), (2, 5))
+    assert mt.shape == (2, 5) and np.all(mt <= 1)
+    assert sample_bits(trial_rng(0), (0, 4)).shape == (0, 4)
+    assert abs(sample_bits(trial_rng(8), (1000, 1000)).mean() - 0.5) < 0.003
 
 
 def test_sigma2_from_snr_values():

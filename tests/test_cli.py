@@ -703,11 +703,11 @@ def test_cli_pooled_output_is_the_serial_output_under_every_start_method(tmp_pat
 _RUN_TRIAL = link_sim._run_trial
 
 
-def _trial_whose_worker_dies(cfg, scheme, spec, snr_index, sigma2, trial_index):
+def _trial_whose_worker_dies(cfg, scheme, spec, sigma2, trial_index):
     """The engine's trial, except that trial 1 ends its worker process as a crash would."""
     if trial_index == 1:
         os._exit(7)
-    return _RUN_TRIAL(cfg, scheme, spec, snr_index, sigma2, trial_index)
+    return _RUN_TRIAL(cfg, scheme, spec, sigma2, trial_index)
 
 
 def test_cli_pool_worker_that_dies_exits_2_and_keeps_the_out(tmp_path, monkeypatch, capsys):
@@ -723,11 +723,11 @@ def test_cli_pool_worker_that_dies_exits_2_and_keeps_the_out(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == [out]  # no temporary file left behind
 
 
-def _trial_logging_pid(log, cfg, scheme, spec, snr_index, sigma2, trial_index):
+def _trial_logging_pid(log, cfg, scheme, spec, sigma2, trial_index):
     """The engine's trial, after appending "trial pid" to ``log``."""
     with open(log, "a") as fh:
         fh.write(f"{trial_index} {os.getpid()}\n")
-    return _RUN_TRIAL(cfg, scheme, spec, snr_index, sigma2, trial_index)
+    return _RUN_TRIAL(cfg, scheme, spec, sigma2, trial_index)
 
 
 @pytest.mark.parametrize("workers, parent_trials, pool_pids", [
@@ -763,7 +763,7 @@ def _zf_singular_on(channels, H):
 def test_cli_pooled_point_discards_failed_trials_of_either_share(tmp_path, monkeypatch, caplog):
     # at 2 workers and 5 channels the pool runs trials 0-2 and the parent trials 3-4
     failing = (1, 4)
-    channels = [generate_channel(2, 2, trial_rng(1, 0, trial)) for trial in failing]
+    channels = [generate_channel(2, 2, trial_rng(1, trial)) for trial in failing]
     monkeypatch.setattr(baselines, "zf_precoder", functools.partial(_zf_singular_on, channels))
     args = ["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
             "--snr-db", "10", "--channels", "5"]
@@ -965,8 +965,11 @@ def test_cli_f_trace(tmp_path):
             assert np.ptp(f) <= 1e-6 * f[0]
         else:
             assert np.ptp(f) > 1e-3 * f[0]
-    # each block is a different channel draw
-    assert len({blocks[key][0] for key in blocks if key[0] == "SLP_IN_BLOCK"}) == 4
+    # each block is its trial's channel draw at every SNR point, and the two blocks differ
+    for scheme in ("SLP_IN_BLOCK", "SLP_UNIFORM"):
+        for block in ("0", "1"):
+            assert blocks[scheme, "30.0", block] == blocks[scheme, "40.0", block]
+        assert blocks[scheme, "30.0", "0"][0] != blocks[scheme, "30.0", "1"][0]
 
 
 def test_cli_f_trace_drops_a_failed_trials_rows(tmp_path, monkeypatch, caplog):

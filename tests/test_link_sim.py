@@ -250,6 +250,27 @@ def test_parallel_matches_serial(monkeypatch):
     assert serial == parallel
 
 
+def test_every_snr_point_draws_a_trials_channel_and_broadcast_error_again(monkeypatch):
+    original = link_sim.quantize_broadcast
+    errors = []
+
+    def recording(f, *args):
+        f_hat = original(f, *args)
+        errors.append(f_hat - f)
+        return f_hat
+
+    monkeypatch.setattr(link_sim, "quantize_broadcast", recording)
+    monkeypatch.setenv(link_sim.WORKERS_ENV, "1")
+    snr_db = (0.0, 20.0, 40.0, INF)
+    cfg = make_cfg(users=4, antennas=4, block_len=20, snr_db=snr_db, channels=5, seed=3)
+    # ZF's rescaling factor depends on H alone, and a trial's H on (seed, trial) alone
+    mean_f = [r.mean_f for r in run_monte_carlo(cfg, Scheme.ZF)]
+    assert mean_f == [mean_f[0]] * len(snr_db)
+    trial_0 = errors[::cfg.channels]  # serial: trial 0 broadcasts first at each point
+    assert len(trial_0) == len(snr_db) and trial_0[0] != 0
+    assert all(np.array_equal(e, trial_0[0]) for e in trial_0)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM])
 def test_degenerate_channel_discards_the_trial(monkeypatch, scheme):
     # user 2 has no channel: its CI margin is 0 whatever the power allocation

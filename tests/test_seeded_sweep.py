@@ -5,18 +5,19 @@ The fixture runs all four schemes of a 4×4, M=10 system with four channels
 and seed 2026 at 4-, 16-, 64- and 256-QAM, each over three SNR points where
 errors still occur (about 1 s in all). ``PINNED`` holds each point's
 ``n_bits`` and ``n_errors``, compared exactly, and its ``mean_f``, compared
-to 1e-9 relative, from ``run_monte_carlo(config, scheme)``. The 16-QAM
-entries were recorded at commit 9cadab3, the ZF and RZF entries at the other
-orders at 8cd1f39, and the SLP entries at the other orders at f518e3a.
+to 1e-9 relative, from ``run_monte_carlo(config, scheme)``. Every entry was
+recorded when each trial got one substream shared by every SNR point (the
+common-random-numbers layout of ROADMAP item 2), after 789c383: so ``mean_f``
+is the same at each SNR point of every scheme but RZF, whose ridge depends
+on the noise variance.
 
 Every error count depends on the whole chain: the seed layout, the bit and
 noise draws, the Gray map, the CI solves, the power allocation, the broadcast
 and the slicer. So a refactor that moves any of them fails here, even when
 each unit test still passes. Only re-pin for a change that is meant to move
-outputs, and say why. The common-random-numbers layout of ROADMAP item 2
-changes the random streams and re-pins this table; sharing one SLP solve
-between the two SLP schemes and one pool per run (item 13) leaves every
-output byte-identical and must not re-pin it.
+outputs, and say why. Sharing one CI solve between the SLP schemes and SNR
+points, the stacked receive path (item 2) and one pool per run (item 13)
+leave every output byte-identical and must not re-pin it.
 """
 
 import pytest
@@ -28,38 +29,38 @@ SNR_DB = {4: (0.0, 10.0, 20.0), 16: (0.0, 10.0, 20.0), 64: (10.0, 20.0, 30.0),
 
 # (n_bits, n_errors, mean_f) at the three SNR points of SNR_DB[order]
 PINNED = {
-    (4, Scheme.SLP_IN_BLOCK): [(320, 81, 5.487596046543575), (320, 23, 7.090693691549151),
-                               (320, 1, 8.230539584088048)],
-    (4, Scheme.SLP_UNIFORM): [(320, 79, 5.322089844210533), (320, 20, 6.7248865181636805),
-                              (320, 3, 7.203538584878265)],
-    (4, Scheme.ZF): [(320, 102, 6.116385660229659), (320, 46, 8.120837280954573),
-                     (320, 3, 9.790764779102556)],
-    (4, Scheme.RZF): [(320, 68, 1.3411284861327348), (320, 14, 3.574842431528478),
-                      (320, 2, 6.638504462985722)],
-    (16, Scheme.SLP_IN_BLOCK): [(640, 233, 5.99933635991984), (640, 152, 7.659526800578066),
-                                (640, 37, 9.836935135825328)],
-    (16, Scheme.SLP_UNIFORM): [(640, 216, 5.763832793180728), (640, 136, 7.284820095518572),
-                               (640, 31, 8.89994224358147)],
-    (16, Scheme.ZF): [(640, 232, 6.116385660229659), (640, 168, 8.120837280954573),
-                      (640, 42, 9.790764779102556)],
-    (16, Scheme.RZF): [(640, 207, 1.3411284861327348), (640, 131, 3.574842431528478),
-                       (640, 27, 6.638504462985722)],
-    (64, Scheme.SLP_IN_BLOCK): [(960, 233, 5.83425329171485), (960, 101, 8.205312230972279),
-                                (960, 14, 8.092397606665982)],
-    (64, Scheme.SLP_UNIFORM): [(960, 214, 5.525567918396189), (960, 76, 7.571439898923337),
-                               (960, 9, 7.322402488864275)],
-    (64, Scheme.ZF): [(960, 244, 6.116385660229659), (960, 99, 8.120837280954573),
-                      (960, 17, 9.790764779102556)],
-    (64, Scheme.RZF): [(960, 215, 3.5014010544977916), (960, 92, 6.780135422990659),
-                       (960, 18, 9.184922608299114)],
-    (256, Scheme.SLP_IN_BLOCK): [(1280, 415, 6.370546573215714), (1280, 140, 8.616997156857993),
-                                 (1280, 7, 9.492636960861525)],
-    (256, Scheme.SLP_UNIFORM): [(1280, 396, 6.094340871860342), (1280, 123, 8.235262718849855),
-                                (1280, 6, 9.031905381805085)],
-    (256, Scheme.ZF): [(1280, 413, 6.116385660229659), (1280, 134, 8.120837280954573),
-                       (1280, 7, 9.790764779102556)],
-    (256, Scheme.RZF): [(1280, 382, 3.5014010544977916), (1280, 143, 7.619058098203636),
-                        (1280, 7, 9.723537429769504)],
+    (4, Scheme.SLP_IN_BLOCK): [(320, 86, 8.169953625127388), (320, 25, 8.169953625127388),
+                               (320, 3, 8.169953625127388)],
+    (4, Scheme.SLP_UNIFORM): [(320, 82, 7.431548718720364), (320, 20, 7.431548718720364),
+                              (320, 2, 7.431548718720364)],
+    (4, Scheme.ZF): [(320, 95, 12.025005023752488), (320, 42, 12.025005023752488),
+                     (320, 15, 12.025005023752488)],
+    (4, Scheme.RZF): [(320, 76, 1.3356705872409609), (320, 19, 3.431226698052317),
+                      (320, 2, 5.769008047697308)],
+    (16, Scheme.SLP_IN_BLOCK): [(640, 257, 12.568312365101082), (640, 127, 12.568312365101082),
+                                (640, 41, 12.568312365101082)],
+    (16, Scheme.SLP_UNIFORM): [(640, 242, 11.6582312036184), (640, 124, 11.6582312036184),
+                               (640, 36, 11.6582312036184)],
+    (16, Scheme.ZF): [(640, 260, 12.025005023752488), (640, 133, 12.025005023752488),
+                      (640, 49, 12.025005023752488)],
+    (16, Scheme.RZF): [(640, 229, 1.3356705872409609), (640, 108, 3.431226698052317),
+                       (640, 30, 5.769008047697308)],
+    (64, Scheme.SLP_IN_BLOCK): [(960, 283, 11.342896884754776), (960, 116, 11.342896884754776),
+                                (960, 27, 11.342896884754776)],
+    (64, Scheme.SLP_UNIFORM): [(960, 265, 10.446120848823302), (960, 109, 10.446120848823302),
+                               (960, 26, 10.446120848823302)],
+    (64, Scheme.ZF): [(960, 286, 12.025005023752488), (960, 124, 12.025005023752488),
+                      (960, 37, 12.025005023752488)],
+    (64, Scheme.RZF): [(960, 242, 3.431226698052317), (960, 96, 5.769008047697308),
+                       (960, 30, 9.848926324423966)],
+    (256, Scheme.SLP_IN_BLOCK): [(1280, 436, 12.624466858639433), (1280, 166, 12.624466858639433),
+                                 (1280, 30, 12.624466858639433)],
+    (256, Scheme.SLP_UNIFORM): [(1280, 422, 11.881351868715834), (1280, 138, 11.881351868715834),
+                                (1280, 17, 11.881351868715834)],
+    (256, Scheme.ZF): [(1280, 442, 12.025005023752488), (1280, 165, 12.025005023752488),
+                       (1280, 28, 12.025005023752488)],
+    (256, Scheme.RZF): [(1280, 409, 3.431226698052317), (1280, 154, 7.723988007633485),
+                        (1280, 28, 11.734689320258775)],
 }
 
 

@@ -10,9 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slpsim import slp_core
-from slpsim.channel import generate_channel, trial_rng
+from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from slpsim.errors import SolverFailure
+from slpsim.link_sim import LinkConfig, Scheme, simulate_block
 from slpsim.slp_core import (
     ChannelRealization,
     CiInstance,
@@ -279,8 +280,8 @@ def test_near_singular_channels_keep_a_certified_positive_margin(eps):
 
 
 def _sweep_channel():
-    """The 4x4 Rayleigh draw of the desk sweep at seed 6, SNR index 7, trial 2:
-    cond(R) is about 5.7e6, above the whitening bound."""
+    """The 4x4 Rayleigh draw of ``trial_rng(6, 7, 2)``: cond(R) is about 5.7e6,
+    above the whitening bound, so every CI solve on it takes the least-distance form."""
     return generate_channel(4, 4, trial_rng(6, 7, 2))
 
 
@@ -304,8 +305,8 @@ def test_only_well_conditioned_channels_are_whitened():
             np.testing.assert_allclose(L_inv @ gram @ L_inv.T, np.eye(2 * users), atol=1e-9)
 
 
-def test_unwhitened_sweep_channel_solves_every_symbol():
-    # a real sweep channel that takes the least-distance form on every symbol
+def test_unwhitened_sweep_channel_solves_every_symbol(monkeypatch):
+    # a Rayleigh draw that takes the least-distance form on every symbol
     rng = trial_rng(6)
     block = SPEC16.points[rng.integers(0, 16, (4, 50))]
     channel = ChannelRealization(_sweep_channel())
@@ -322,6 +323,19 @@ def test_unwhitened_sweep_channel_solves_every_symbol():
     # the block solve gives the very same margins
     _, margins = solve_block(_sweep_channel(), block, SPEC16)
     assert np.array_equal(margins, [sol.margin for _, sol in solved])
+    # and the engine transmits an in-block SLP block over it, solved in that form
+    original, forms = slp_core._solve_ldp, []
+
+    def counting(*args):
+        forms.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(slp_core, "_solve_ldp", counting)
+    cfg = LinkConfig(users=4, antennas=4, block_len=50, seed=6)
+    result = simulate_block(cfg, Scheme.SLP_IN_BLOCK, _sweep_channel(), sigma2_from_snr(40.0, 50),
+                            trial_rng(6, 2), SPEC16)
+    assert len(forms) == cfg.block_len
+    assert result.f_spread <= 1e-9
 
 
 def test_whitened_iteration_cap_falls_back_to_the_least_distance_form(monkeypatch):
