@@ -24,6 +24,7 @@ Conventions (documented here because they fix the bit-error accounting):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,11 +58,13 @@ class ConstellationSpec:
     key_codes: np.ndarray     # its Gray code per key, uint8
 
 
+@functools.cache
 def build_constellation(order: int) -> ConstellationSpec:
-    """Build a Gray-labeled square QAM constellation with unit mean energy.
+    """The Gray-labeled square QAM constellation of ``order``, with unit mean energy.
 
     Amplitude levels are the odd integers {..., -3, -1, 1, 3, ...} scaled so
-    the average symbol energy over the full constellation equals one.
+    the average symbol energy over the full constellation equals one. Cached:
+    each order's one spec, whose arrays are read-only, serves every caller.
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(
@@ -82,7 +85,7 @@ def build_constellation(order: int) -> ConstellationSpec:
 
     # key k < half: k levels below the lower middle one; key half + k: above the upper
     key_levels = np.concatenate([np.arange(half - 1, -1, -1), np.arange(half, side)])
-    return ConstellationSpec(
+    spec = ConstellationSpec(
         order=order,
         bits_per_symbol=bits_per_symbol,
         levels=levels,
@@ -91,6 +94,10 @@ def build_constellation(order: int) -> ConstellationSpec:
         key_levels=key_levels,
         key_codes=gray[key_levels].astype(np.uint8),
     )
+    for value in vars(spec).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return spec
 
 
 def _slice_keys(spec: ConstellationSpec, x: np.ndarray) -> np.ndarray:

@@ -10,10 +10,8 @@ symbol duration.
 
 Determinism contract: each trial index gets one random substream derived
 from the experiment seed, so results are bit-identical regardless of
-execution order or worker count. At every SNR point a trial draws from it,
-in this order, the channel, its bits (``channel.sample_bits``), one
-unit-variance noise block and the broadcast error; the SNR point only scales
-the noise by its sigma. Another order or draw moves every seeded number.
+execution order or worker count. ``simulate_block`` states the order of its
+draws.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ import numpy as np
 
 from . import baselines, power_alloc, slp_core
 from .channel import generate_channel, sample_bits, sample_noise, sigma2_from_snr, trial_rng
-from .constellation import (ConstellationSpec, SUPPORTED_ORDERS, bit_errors, build_constellation,
-                            demodulate, modulate)
+from .constellation import SUPPORTED_ORDERS, bit_errors, build_constellation, demodulate, modulate
 from .errors import ConfigurationError, DegenerateMarginError, SolverFailure
 
 log = logging.getLogger(__name__)
@@ -222,27 +219,25 @@ def effective_throughput(
     return max(goodput - overhead, 0.0)
 
 
-def simulate_block(
-    cfg: LinkConfig,
-    scheme: Scheme,
-    H: np.ndarray,
-    sigma2: float,
-    rng: np.random.Generator,
-    spec: ConstellationSpec,
-) -> BlockResult:
-    """Transmit one block of ``scheme`` through channel ``H`` and count receiver bit errors.
+def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.random.Generator) -> BlockResult:
+    """Draw one trial of ``scheme`` from ``rng``: transmit a block and count receiver bit errors.
+
+    Determinism contract: ``rng`` gives, in this order, the channel
+    (``generate_channel``), the bits (``sample_bits``), one unit-variance noise
+    block that ``sigma2`` scales (drawn at ``sigma2 = 0`` too) and the broadcast
+    error. Every SNR point of a trial draws from its one substream, so an SNR
+    point only scales the noise. Another order or draw moves every seeded number.
 
     Each scheme yields its precoded block, its per-symbol powers and its ideal
     rescaling factors. A block-level scheme broadcasts one factor per block,
     uniform SLP one per symbol duration. Every broadcast passes through the
     B-bit error model of ``quantize_broadcast``; B is its only setting, and
-    ``feedback_bits = MAX_FEEDBACK_BITS`` makes the broadcast exact. After the
-    channel, ``rng`` gives the bits (``sample_bits``), a unit-variance noise
-    block that ``sigma2`` scales (drawn at ``sigma2 = 0`` too) and the broadcast error.
+    ``feedback_bits = MAX_FEEDBACK_BITS`` makes the broadcast exact.
     """
     scheme = Scheme(scheme)
     K, M = cfg.users, cfg.block_len
-
+    spec = build_constellation(cfg.modulation)
+    H = generate_channel(K, cfg.antennas, rng)
     labels, symbols = modulate(spec, sample_bits(rng, (K, M, spec.bits_per_symbol)))
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
@@ -275,13 +270,10 @@ def simulate_block(
     )
 
 
-def _run_trial(cfg: LinkConfig, scheme: Scheme, spec: ConstellationSpec, sigma2: float,
-               trial_index: int):
+def _run_trial(cfg: LinkConfig, scheme: Scheme, sigma2: float, trial_index: int):
     """The trial's BlockResult, or the reason it failed as "{type}: {message}"."""
-    rng = trial_rng(cfg.seed, trial_index)
     try:
-        H = generate_channel(cfg.users, cfg.antennas, rng)
-        return simulate_block(cfg, scheme, H, sigma2, rng, spec)
+        return simulate_block(cfg, scheme, sigma2, trial_rng(cfg.seed, trial_index))
     except (np.linalg.LinAlgError, DegenerateMarginError, SolverFailure) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -352,14 +344,13 @@ def sweep_points(cfg: LinkConfig, scheme: Scheme):
     OpenBLAS threads forks. Other platforms keep their default.
     """
     scheme = Scheme(scheme)
-    spec = build_constellation(cfg.modulation)
     n_workers = _worker_count()
     pooled = n_workers > 1 and cfg.channels > 1
     if pooled and scheme in SLP_SCHEMES:
         slp_core._scipy_nnls()  # import SciPy once, before the forks, not in every worker
     for snr_db in cfg.snr_db:
         sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
-        task = partial(_run_trial, cfg, scheme, spec, sigma2)
+        task = partial(_run_trial, cfg, scheme, sigma2)
         if pooled:
             # a fork pool starts all its workers at once: start no more than there are tasks
             workers = min(n_workers, cfg.channels)

@@ -127,11 +127,8 @@ def test_c1_block_constant_rescaling():
                 snr_db=(40.0,), channels=n_channels, seed=51,
             )
             sigma2 = sigma2_from_snr(40.0, cfg.block_len)
-            spec = build_constellation(modulation)
             for trial in range(n_channels):
-                rng = trial_rng(cfg.seed, 0, trial)
-                channel = generate_channel(4, 4, rng)
-                block = simulate_block(cfg, scheme, channel, sigma2, rng, spec)
+                block = simulate_block(cfg, scheme, sigma2, trial_rng(cfg.seed, trial))
                 if scheme is Scheme.SLP_IN_BLOCK:
                     worst_in_block = max(worst_in_block, block.f_spread)
                 elif block.f_spread > 1e-3:

@@ -703,11 +703,11 @@ def test_cli_pooled_output_is_the_serial_output_under_every_start_method(tmp_pat
 _RUN_TRIAL = link_sim._run_trial
 
 
-def _trial_whose_worker_dies(cfg, scheme, spec, sigma2, trial_index):
+def _trial_whose_worker_dies(cfg, scheme, sigma2, trial_index):
     """The engine's trial, except that trial 1 ends its worker process as a crash would."""
     if trial_index == 1:
         os._exit(7)
-    return _RUN_TRIAL(cfg, scheme, spec, sigma2, trial_index)
+    return _RUN_TRIAL(cfg, scheme, sigma2, trial_index)
 
 
 def test_cli_pool_worker_that_dies_exits_2_and_keeps_the_out(tmp_path, monkeypatch, capsys):
@@ -723,11 +723,11 @@ def test_cli_pool_worker_that_dies_exits_2_and_keeps_the_out(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == [out]  # no temporary file left behind
 
 
-def _trial_logging_pid(log, cfg, scheme, spec, sigma2, trial_index):
+def _trial_logging_pid(log, cfg, scheme, sigma2, trial_index):
     """The engine's trial, after appending "trial pid" to ``log``."""
     with open(log, "a") as fh:
         fh.write(f"{trial_index} {os.getpid()}\n")
-    return _RUN_TRIAL(cfg, scheme, spec, sigma2, trial_index)
+    return _RUN_TRIAL(cfg, scheme, sigma2, trial_index)
 
 
 @pytest.mark.parametrize("workers, parent_trials, pool_pids", [

@@ -13,6 +13,8 @@ from slpsim.constellation import (
     demodulate,
     modulate,
 )
+from slpsim.cli import run_experiment
+from slpsim.link_sim import WORKERS_ENV, Experiment, LinkConfig
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -38,6 +40,29 @@ def test_qpsk_all_corner_points():
     mask = classify_component(spec, spec.points)
     re_outer, im_outer = mask[..., 0::2], mask[..., 1::2]
     assert re_outer.all() and im_outer.all()
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_each_order_has_one_read_only_spec(order):
+    spec = build_constellation(order)
+    assert build_constellation(order) is spec
+    arrays = [value for value in vars(spec).values() if isinstance(value, np.ndarray)]
+    assert arrays
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_a_sweep_builds_no_constellation_again(tmp_path, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    cfg = LinkConfig(users=2, antennas=2, block_len=4, snr_db=(10.0, 20.0), channels=2,
+                     experiment=Experiment.BER_SWEEP, out=str(tmp_path / "sweep.csv"))
+    build_constellation(cfg.modulation)
+    before = build_constellation.cache_info()
+    assert run_experiment(cfg) == 0
+    after = build_constellation.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_unsupported_order_rejected():

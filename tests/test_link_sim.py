@@ -6,7 +6,6 @@ import pytest
 from slpsim import baselines, link_sim, power_alloc, slp_core
 from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
 from slpsim.cli import main, run_experiment
-from slpsim.constellation import build_constellation
 from slpsim.errors import ConfigurationError, SolverFailure
 from slpsim.link_sim import (
     LinkConfig,
@@ -15,6 +14,7 @@ from slpsim.link_sim import (
     quantize_broadcast,
     run_monte_carlo,
     simulate_block,
+    sweep_points,
 )
 
 INF = float("inf")
@@ -153,9 +153,7 @@ def test_each_scheme_broadcasts_once_per_block_or_per_symbol(monkeypatch, scheme
 
     monkeypatch.setattr(link_sim, "quantize_broadcast", recording)
     cfg = make_cfg(users=3, antennas=4)
-    rng = trial_rng(cfg.seed, 0, 0)
-    block = simulate_block(cfg, scheme, generate_channel(3, 4, rng), 1e-3, rng,
-                           build_constellation(cfg.modulation))
+    block = simulate_block(cfg, scheme, 1e-3, trial_rng(cfg.seed, 0))
     assert len(broadcasts) == 1
     expected = cfg.block_len if scheme is Scheme.SLP_UNIFORM else 1
     assert len(broadcasts[0]) == expected
@@ -168,26 +166,20 @@ def test_noiseless_blocks_error_free(scheme):
     cfg = make_cfg(users=4, antennas=4, block_len=10, snr_db=(INF,),
                    feedback_bits=link_sim.MAX_FEEDBACK_BITS)  # an exact broadcast
     for trial in range(5):
-        rng = trial_rng(cfg.seed, 0, trial)
-        channel = generate_channel(4, 4, rng)
-        block = simulate_block(cfg, scheme, channel, 0.0, rng, build_constellation(cfg.modulation))
+        block = simulate_block(cfg, scheme, 0.0, trial_rng(cfg.seed, trial))
         assert block.n_bit_errors == 0
         assert block.n_user_block_errors == 0
 
 
 def test_in_block_rescaling_is_flat():
     cfg = make_cfg(users=4, antennas=4, snr_db=(INF,))
-    rng = trial_rng(1, 0, 0)
-    channel = generate_channel(4, 4, rng)
-    block = simulate_block(cfg, Scheme.SLP_IN_BLOCK, channel, 0.0, rng, build_constellation(16))
+    block = simulate_block(cfg, Scheme.SLP_IN_BLOCK, 0.0, trial_rng(cfg.seed, 0))
     assert block.f_spread <= 1e-6
 
 
 def test_uniform_rescaling_varies():
     cfg = make_cfg(users=4, antennas=4, snr_db=(INF,))
-    rng = trial_rng(1, 0, 0)
-    channel = generate_channel(4, 4, rng)
-    block = simulate_block(cfg, Scheme.SLP_UNIFORM, channel, 0.0, rng, build_constellation(16))
+    block = simulate_block(cfg, Scheme.SLP_UNIFORM, 0.0, trial_rng(cfg.seed, 0))
     assert block.f_spread > 1e-3
 
 
@@ -208,9 +200,7 @@ def test_every_module_reads_the_one_block_budget_when_called(monkeypatch):
 
     monkeypatch.setattr(power_alloc, "allocate_in_block", recording)
     cfg = make_cfg(users=3, antennas=4)
-    rng = trial_rng(cfg.seed, 0, 0)
-    simulate_block(cfg, Scheme.SLP_IN_BLOCK, generate_channel(3, 4, rng), 1e-3, rng,
-                   build_constellation(cfg.modulation))
+    simulate_block(cfg, Scheme.SLP_IN_BLOCK, 1e-3, trial_rng(cfg.seed, 0))
     assert budgets == [2.0]
 
 
@@ -269,6 +259,23 @@ def test_every_snr_point_draws_a_trials_channel_and_broadcast_error_again(monkey
     trial_0 = errors[::cfg.channels]  # serial: trial 0 broadcasts first at each point
     assert len(trial_0) == len(snr_db) and trial_0[0] != 0
     assert all(np.array_equal(e, trial_0[0]) for e in trial_0)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_serial_and_pool_sweeps_transmit_the_blocks_simulate_block_draws(monkeypatch, scheme, workers):
+    monkeypatch.setenv(link_sim.WORKERS_ENV, workers)
+    cfg = make_cfg(users=3, antennas=4, snr_db=(20.0, INF), channels=3)
+    points = list(sweep_points(cfg, scheme))
+    assert len(points) == len(cfg.snr_db)
+    for snr_db, (_, results) in zip(cfg.snr_db, points):
+        sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
+        assert len(results) == cfg.channels
+        for trial, result in enumerate(results):
+            block = simulate_block(cfg, scheme, sigma2, trial_rng(cfg.seed, trial))
+            assert result.n_bit_errors == block.n_bit_errors, (snr_db, trial)
+            assert result.n_user_block_errors == block.n_user_block_errors, (snr_db, trial)
+            assert np.array_equal(result.f_ideal, block.f_ideal), (snr_db, trial)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slpsim import slp_core
+from slpsim import link_sim, slp_core
 from slpsim.channel import generate_channel, sigma2_from_snr, trial_rng
 from slpsim.constellation import SUPPORTED_ORDERS, build_constellation, classify_component
 from slpsim.errors import SolverFailure
@@ -331,9 +331,9 @@ def test_unwhitened_sweep_channel_solves_every_symbol(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(slp_core, "_solve_ldp", counting)
+    monkeypatch.setattr(link_sim, "generate_channel", lambda *args: _sweep_channel())
     cfg = LinkConfig(users=4, antennas=4, block_len=50, seed=6)
-    result = simulate_block(cfg, Scheme.SLP_IN_BLOCK, _sweep_channel(), sigma2_from_snr(40.0, 50),
-                            trial_rng(6, 2), SPEC16)
+    result = simulate_block(cfg, Scheme.SLP_IN_BLOCK, sigma2_from_snr(40.0, 50), trial_rng(6, 2))
     assert len(forms) == cfg.block_len
     assert result.f_spread <= 1e-9
 
