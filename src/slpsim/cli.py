@@ -20,13 +20,10 @@ import sys
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from . import power_alloc, slp_core
-from .channel import generate_channel
-from .constellation import build_constellation
+from .channel import trial_rng
 from .errors import ConfigurationError
-from .link_sim import BlockResult, Experiment, LinkConfig, run_monte_carlo, sweep_points
+from .link_sim import BlockResult, Experiment, LinkConfig, draw_block, run_monte_carlo, sweep_points
 
 # Column orders are part of the output contract; never reorder.
 SWEEP_COLUMNS = [
@@ -267,19 +264,16 @@ def run_experiment(cfg: LinkConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
-    """Solve each symbol of two blocks of the configured system, drawn from ``seed + 1``,
+    """Solve each symbol of trials 0 and 1 of ``seed``, the blocks ``draw_block`` gives the run,
     through the per-symbol API (``build_instance``, ``solve_ci_max``) on one channel view
     per block; check each solve's status, constraints and duality gap. Returns (passed, detail)."""
     n_blocks = 2
-    rng = np.random.default_rng(cfg.seed + 1)
-    spec = build_constellation(cfg.modulation)
-    worst = 0.0
-    worst_gap = 0.0
-    min_margin = np.inf
+    worst = worst_gap = 0.0
+    min_margin = math.inf
     non_optimal = 0
-    for _ in range(n_blocks):
-        channel = slp_core.ChannelRealization(generate_channel(cfg.users, cfg.antennas, rng))
-        symbols = spec.points[rng.integers(0, cfg.modulation, (cfg.users, cfg.block_len))]
+    for trial in range(n_blocks):
+        spec, H, _, symbols = draw_block(cfg, trial_rng(cfg.seed, trial))
+        channel = slp_core.ChannelRealization(H)
         for inst in (slp_core.build_instance(channel, vector, spec) for vector in symbols.T):
             sol = slp_core.solve_ci_max(inst)
             non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
@@ -314,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in (("run", "run an experiment and write its CSV"),
-                          ("verify", "check the CI solver on two seeded blocks of the configured system")):
+                          ("verify", "check the CI solver on the first two blocks that run solves")):
         command_parser = sub.add_parser(command, help=text, allow_abbrev=False)
         command_parser.add_argument("--config", help="key = value experiment file")
         for key, (_, flag) in _FIELDS.items():

@@ -219,14 +219,22 @@ def effective_throughput(
     return max(goodput - overhead, 0.0)
 
 
+def draw_block(cfg: LinkConfig, rng: np.random.Generator):
+    """(spec, H, labels, symbols): the constellation, then from ``rng`` the channel and the block's bits."""
+    spec = build_constellation(cfg.modulation)
+    H = generate_channel(cfg.users, cfg.antennas, rng)
+    labels, symbols = modulate(spec, sample_bits(rng, (cfg.users, cfg.block_len, spec.bits_per_symbol)))
+    return spec, H, labels, symbols
+
+
 def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.random.Generator) -> BlockResult:
     """Draw one trial of ``scheme`` from ``rng``: transmit a block and count receiver bit errors.
 
-    Determinism contract: ``rng`` gives, in this order, the channel
-    (``generate_channel``), the bits (``sample_bits``), one unit-variance noise
-    block that ``sigma2`` scales (drawn at ``sigma2 = 0`` too) and the broadcast
-    error. Every SNR point of a trial draws from its one substream, so an SNR
-    point only scales the noise. Another order or draw moves every seeded number.
+    Determinism contract: ``rng`` gives, in this order, the channel and the
+    bits (both by ``draw_block``), one unit-variance noise block that ``sigma2``
+    scales (drawn at ``sigma2 = 0`` too) and the broadcast error. Every SNR point
+    of a trial draws from its one substream, so an SNR point only scales the
+    noise. Another order or draw moves every seeded number.
 
     Each scheme yields its precoded block, its per-symbol powers and its ideal
     rescaling factors. A block-level scheme broadcasts one factor per block,
@@ -236,9 +244,7 @@ def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.rando
     """
     scheme = Scheme(scheme)
     K, M = cfg.users, cfg.block_len
-    spec = build_constellation(cfg.modulation)
-    H = generate_channel(K, cfg.antennas, rng)
-    labels, symbols = modulate(spec, sample_bits(rng, (K, M, spec.bits_per_symbol)))
+    spec, H, labels, symbols = draw_block(cfg, rng)
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in SLP_SCHEMES:

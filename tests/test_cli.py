@@ -358,6 +358,29 @@ def test_verify_factors_each_block_channel_once(monkeypatch):
     assert calls == [(6, 6)] * 2  # one 2K x 2K Gram factorization per block of two
 
 
+def test_verify_solves_the_blocks_of_the_runs_first_two_trials(monkeypatch):
+    # K < N_T, a non-default order and seed: verify certifies what the run transmits
+    cfg = LinkConfig(users=3, antennas=5, modulation=64, block_len=7, seed=4)
+    solved = []
+    original = slp_core.solve_ci_max
+
+    def recording(instance, *args, **kwargs):
+        solved.append((instance.channel.H, instance.symbols))
+        return original(instance, *args, **kwargs)
+
+    monkeypatch.setattr(slp_core, "solve_ci_max", recording)
+    passed, detail = check_slp_solutions(cfg)
+    assert passed, detail
+    verified = list(solved)
+    solved.clear()
+    for trial in (0, 1):
+        link_sim.simulate_block(cfg, Scheme.SLP_IN_BLOCK, 0.0, trial_rng(cfg.seed, trial))
+    assert len(verified) == len(solved) == 2 * cfg.block_len
+    for (H_verified, s_verified), (H_run, s_run) in zip(verified, solved):
+        assert np.array_equal(H_verified, H_run)
+        assert np.array_equal(s_verified, s_run)
+
+
 def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the output path was checked")
@@ -1075,8 +1098,8 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_cli_verify_fails_on_a_margin_the_allocation_rejects(tmp_path, monkeypatch, capsys):
     # a channel 1e-13 times a Rayleigh draw gives margins at or below MIN_MARGIN
-    draw = cli.generate_channel
-    monkeypatch.setattr(cli, "generate_channel", lambda *args: 1e-13 * draw(*args))
+    draw = link_sim.generate_channel
+    monkeypatch.setattr(link_sim, "generate_channel", lambda *args: 1e-13 * draw(*args))
     cfg_file = tmp_path / "small.cfg"
     cfg_file.write_text("block_len = 5\n")
     assert main(["verify", "--config", str(cfg_file)]) == 3
