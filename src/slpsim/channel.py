@@ -36,13 +36,6 @@ def sample_noise(sigma2: float, count: int, rng: Generator) -> np.ndarray:
     return noise
 
 
-def sample_bits(rng: Generator, shape) -> np.ndarray:
-    """Draw fair 0/1 bits, uint8 shaped ``shape``, from any generator: the bits of
-    the next ceil(n / 8) bytes of ``rng.bytes``, MSB first, for a count n of any size."""
-    n = int(np.prod(shape))
-    return np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n).reshape(shape)
-
-
 def sigma2_from_snr(snr_db: float, block_len: int) -> float:
     """Noise variance from the per-symbol transmit SNR rho = P_T / (M * sigma2).
 

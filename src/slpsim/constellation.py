@@ -9,8 +9,9 @@ Conventions (documented here because they fix the bit-error accounting):
     level of the grid, inner otherwise; components are read from the
     interleaved real view of a complex array, entry k's real part at 2k and
     its imaginary part at 2k+1, so (..., n) points have (..., 2n) of them;
-  * ``modulate`` reads the last axis of its bits as one symbol's log2(order)
-    bits, MSB first, and returns the labels they spell with their points;
+  * ``modulate`` alone orders a label's bits: it reads a block's payload
+    bytes as one log2(order)-bit label per symbol, MSB first, and returns the
+    labels with their points;
   * the receiver decides labels, not bits: ``demodulate`` returns the Gray
     label of each sample's nearest point, so the bit errors of a decision
     are the set bits of (sent label XOR decided label), which ``bit_errors``
@@ -129,26 +130,21 @@ def classify_component(spec: ConstellationSpec, points) -> np.ndarray:
     return (index == 0) | (index == spec.levels.size - 1)
 
 
-def modulate(spec: ConstellationSpec, bits) -> tuple[np.ndarray, np.ndarray]:
-    """Map 0/1 bits to Gray labels and their constellation points.
+def modulate(spec: ConstellationSpec, payload, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Map a block's payload bytes to Gray labels and their constellation points.
 
-    The last axis of ``bits`` holds one symbol's log2(order) bits, read
-    MSB-first as its label. Returns ``(labels, points)``, each shaped like
-    ``bits`` without that axis, with ``points == spec.points[labels]``.
-    Raises ValueError for an entry other than 0 or 1.
+    Each symbol's label is the next log2(order) bits of ``payload``, MSB first;
+    the bits of the last byte that no symbol needs are unused. Returns
+    ``(labels, points)``, each shaped ``shape``, with ``points ==
+    spec.points[labels]``. Raises ValueError for a payload too short for ``shape``.
     """
-    bits = np.asarray(bits)
-    if bits.dtype.kind not in "biu":  # 0.5 would truncate to a valid 0 in the cast
-        stray = bits[(bits != 0) & (bits != 1)]
-        if stray.size:
-            raise ValueError(f"bits must be 0 or 1, got {stray[0]}")
-    bits = bits.astype(np.int64, copy=False)
     bps = spec.bits_per_symbol
-    if bits.shape[-1:] != (bps,):
-        raise ValueError(f"the last axis of bits must hold {bps} bits, got shape {bits.shape}")
-    if np.bitwise_or.reduce(bits, axis=None) & ~1:  # a set bit above bit 0: not all 0 or 1
-        raise ValueError(f"bits must be 0 or 1, got {bits[(bits != 0) & (bits != 1)][0]}")
-    labels = bits @ (1 << np.arange(bps - 1, -1, -1))
+    payload = np.frombuffer(payload, np.uint8)
+    n_bits = math.prod(shape) * bps
+    if payload.size * 8 < n_bits:  # unpackbits would pad with zeros
+        raise ValueError(f"shape {shape} needs {n_bits} payload bits, got {payload.size * 8}")
+    bits = np.unpackbits(payload, count=n_bits).reshape(-1, bps)
+    labels = (bits @ (1 << np.arange(bps - 1, -1, -1))).reshape(shape)
     return labels, spec.points[labels]
 
 

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines, power_alloc, slp_core
-from .channel import generate_channel, sample_bits, sample_noise, sigma2_from_snr, trial_rng
+from .channel import generate_channel, sample_noise, sigma2_from_snr, trial_rng
 from .constellation import SUPPORTED_ORDERS, bit_errors, build_constellation, demodulate, modulate
 from .errors import ConfigurationError, DegenerateMarginError, SolverFailure
 
@@ -220,10 +220,13 @@ def effective_throughput(
 
 
 def draw_block(cfg: LinkConfig, rng: np.random.Generator):
-    """(spec, H, labels, symbols): the constellation, then from ``rng`` the channel and the block's bits."""
+    """(spec, H, labels, symbols): the constellation, then from ``rng`` the channel and
+    the block's payload bytes, which ``modulate``, the one owner of a label's bit
+    order, reads as Gray labels and their points."""
     spec = build_constellation(cfg.modulation)
     H = generate_channel(cfg.users, cfg.antennas, rng)
-    labels, symbols = modulate(spec, sample_bits(rng, (cfg.users, cfg.block_len, spec.bits_per_symbol)))
+    n_bits = cfg.users * cfg.block_len * spec.bits_per_symbol
+    labels, symbols = modulate(spec, rng.bytes(-(-n_bits // 8)), (cfg.users, cfg.block_len))
     return spec, H, labels, symbols
 
 
@@ -231,8 +234,9 @@ def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.rando
     """Draw one trial of ``scheme`` from ``rng``: transmit a block and count receiver bit errors.
 
     Determinism contract: ``rng`` gives, in this order, the channel and the
-    bits (both by ``draw_block``), one unit-variance noise block that ``sigma2``
-    scales (drawn at ``sigma2 = 0`` too) and the broadcast error. Every SNR point
+    payload bytes (both by ``draw_block``; ``modulate`` reads the bytes as
+    labels), one unit-variance noise block that ``sigma2`` scales (drawn at
+    ``sigma2 = 0`` too) and the broadcast error. Every SNR point
     of a trial draws from its one substream, so an SNR point only scales the
     noise. Another order or draw moves every seeded number.
 

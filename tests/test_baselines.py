@@ -62,7 +62,7 @@ def test_frobenius_normalization_gives_unit_average_power():
     prec = zf_precoder(H)
     spec = build_constellation(16)
     rng = trial_rng(3)
-    _, syms = modulate(spec, rng.integers(0, 2, size=(4, 2000, 4)))
+    _, syms = modulate(spec, rng.bytes(4000), (4, 2000))
     tx = prec.W @ syms
     avg_power = np.mean(np.sum(np.abs(tx) ** 2, axis=0))
     assert avg_power == pytest.approx(1.0, rel=0.02)

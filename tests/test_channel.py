@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slpsim.channel import generate_channel, sample_bits, sample_noise, sigma2_from_snr, trial_rng
+from slpsim.channel import generate_channel, sample_noise, sigma2_from_snr, trial_rng
 from slpsim.slp_core import ChannelRealization
 
 
@@ -82,35 +82,6 @@ def test_noise_negative_variance_rejected():
 
 def test_noise_empty_draw():
     assert sample_noise(1.0, 0, trial_rng(0)).size == 0
-
-
-@pytest.mark.parametrize("bps", [2, 4, 6, 8])
-@pytest.mark.parametrize("users, block_len", [(1, 1), (3, 7), (4, 50), (12, 200)])
-def test_sample_bits_are_the_bits_of_the_next_bytes(users, block_len, bps):
-    # a trial's order: the channel, then the bits, then the noise
-    shape = (users, block_len, bps)
-    for seed in (0, 1, 2026):
-        rng, twin = trial_rng(seed, 5), trial_rng(seed, 5)
-        generate_channel(users, users, rng)
-        generate_channel(users, users, twin)
-        bits = sample_bits(rng, shape)
-        assert bits.shape == shape and bits.dtype == np.uint8
-        assert np.all((bits == 0) | (bits == 1))
-        # MSB first, from the next ceil(n / 8) bytes, the last one's low bits unused
-        raw = np.frombuffer(twin.bytes(-(-bits.size // 8)), np.uint8)
-        np.testing.assert_array_equal(bits.reshape(-1), np.unpackbits(raw)[:bits.size])
-        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where bytes leaves it
-        assert np.array_equal(sample_bits(trial_rng(seed, 5, 1), shape),
-                              sample_bits(trial_rng(seed, 5, 1), shape))
-
-
-def test_sample_bits_takes_any_generator_and_count():
-    odd = sample_bits(trial_rng(0), (3, 1))
-    assert odd.shape == (3, 1) and odd.dtype == np.uint8 and np.all(odd <= 1)
-    mt = sample_bits(np.random.Generator(np.random.MT19937(1)), (2, 5))
-    assert mt.shape == (2, 5) and np.all(mt <= 1)
-    assert sample_bits(trial_rng(0), (0, 4)).shape == (0, 4)
-    assert abs(sample_bits(trial_rng(8), (1000, 1000)).mean() - 0.5) < 0.003
 
 
 def test_sigma2_from_snr_values():

@@ -13,8 +13,9 @@ from slpsim.constellation import (
     demodulate,
     modulate,
 )
+from slpsim.channel import generate_channel, trial_rng
 from slpsim.cli import run_experiment
-from slpsim.link_sim import WORKERS_ENV, Experiment, LinkConfig
+from slpsim.link_sim import WORKERS_ENV, Experiment, LinkConfig, draw_block
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -188,9 +189,9 @@ def test_classify_and_demodulate_read_every_shape_through_the_interleaved_view(o
 
 
 def test_modulate_label_zero():
-    # all-zero bits map to the lowest level on both axes under the Gray map
+    # an all-zero payload maps to the lowest level on both axes under the Gray map
     spec = build_constellation(16)
-    label, point = modulate(spec, [0, 0, 0, 0])
+    label, point = modulate(spec, bytes(1), ())
     assert label == 0
     assert point == spec.points[0]
     assert point == complex(spec.levels[0], spec.levels[0])
@@ -198,35 +199,18 @@ def test_modulate_label_zero():
 
 def test_modulate_qpsk_bijective():
     spec = build_constellation(4)
-    labels, syms = modulate(spec, [[0, 0], [0, 1], [1, 1], [1, 0]])
+    labels, syms = modulate(spec, bytes([0b00011110]), (4,))
     assert labels.tolist() == [0, 1, 3, 2]
     assert len(set(syms)) == 4
 
 
 def test_modulate_length_mismatch():
+    # unpackbits would pad a short payload with zero bits
     spec = build_constellation(16)
-    with pytest.raises(ValueError):
-        modulate(spec, [0, 1, 0])
-
-
-@pytest.mark.parametrize("bits, entry", [
-    ([0, 0, 0, -1], "-1"),  # would index label -1, that is label 15's point
-    ([0, 0, 0, 2], "2"),    # would carry into label 2
-    ([2, 0, 0, 0], "2"),    # would index past the 16-point table
-    ([0.5, 0, 0, 1.7], "0.5"),  # an int64 cast would read it as label 1
-    ([0, 0, 0, np.nan], "nan"),
-    ([0, 0, 1j, 0], "1j"),
-])
-def test_modulate_rejects_entries_other_than_0_or_1(bits, entry):
-    spec = build_constellation(16)
-    with pytest.raises(ValueError, match=f"bits must be 0 or 1, got {entry}$"):
-        modulate(spec, bits)
-
-
-def test_modulate_takes_whole_floats_and_bools():
-    spec = build_constellation(16)
-    assert modulate(spec, [0.0, 1.0, 1.0, 0.0])[0] == 6
-    assert modulate(spec, [False, True, True, False])[0] == 6
+    with pytest.raises(ValueError, match="needs 12 payload bits, got 8$"):
+        modulate(spec, bytes(1), (3,))
+    with pytest.raises(ValueError, match="needs 4 payload bits, got 0$"):
+        modulate(spec, b"", (1, 1))
 
 
 def _label_bits(labels, bits_per_symbol):
@@ -234,22 +218,61 @@ def _label_bits(labels, bits_per_symbol):
     return (np.asarray(labels)[..., None] >> np.arange(bits_per_symbol - 1, -1, -1)) & 1
 
 
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_modulate_reads_every_byte_value_as_labels_of_the_constellation(order):
+    spec = build_constellation(order)
+    payload = bytes(range(256)) * spec.bits_per_symbol  # 2048 whole symbols
+    labels, points = modulate(spec, payload, (2048,))
+    assert set(labels.tolist()) == set(range(order))
+    np.testing.assert_array_equal(points, spec.points[labels])
+
+
+@pytest.mark.parametrize("bps", [2, 4, 6, 8])
+@pytest.mark.parametrize("users, block_len", [(1, 1), (3, 7), (4, 50), (12, 200)])
+def test_modulate_labels_are_the_bits_of_the_next_payload_bytes(users, block_len, bps):
+    # a trial's order: the channel, then the payload bytes, then the noise
+    cfg = LinkConfig(users=users, antennas=users, block_len=block_len, modulation=1 << bps)
+    for seed in (0, 1, 2026):
+        rng, twin = trial_rng(seed, 5), trial_rng(seed, 5)
+        spec, H, labels, points = draw_block(cfg, rng)
+        np.testing.assert_array_equal(H, generate_channel(users, users, twin))
+        assert labels.shape == points.shape == (users, block_len)
+        np.testing.assert_array_equal(points, spec.points[labels])
+        # MSB first, from the next ceil(n / 8) bytes, the last one's low bits unused
+        n_bits = labels.size * bps
+        raw = np.frombuffer(twin.bytes(-(-n_bits // 8)), np.uint8)
+        np.testing.assert_array_equal(_label_bits(labels, bps).reshape(-1), np.unpackbits(raw)[:n_bits])
+        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where bytes leaves it
+        assert np.array_equal(draw_block(cfg, trial_rng(seed, 5, 1))[2],
+                              draw_block(cfg, trial_rng(seed, 5, 1))[2])
+
+
+def test_modulate_takes_any_generators_bytes_and_count():
+    spec = build_constellation(16)
+    odd, _ = modulate(spec, trial_rng(0).bytes(2), (3, 1))
+    assert odd.shape == (3, 1) and np.all((0 <= odd) & (odd < 16))
+    mt = np.random.Generator(np.random.MT19937(1)).bytes(5)
+    labels, _ = modulate(spec, mt, (2, 5))
+    np.testing.assert_array_equal(_label_bits(labels, 4).reshape(-1), np.unpackbits(np.frombuffer(mt, np.uint8)))
+    labels, points = modulate(spec, b"", (0, 4))
+    assert labels.shape == points.shape == (0, 4)
+    labels, _ = modulate(spec, trial_rng(8).bytes(125_000), (250_000,))  # 10^6 bits
+    assert abs(_label_bits(labels, 4).mean() - 0.5) < 0.003
+
+
 @settings(max_examples=40)
 @given(
     order=st.sampled_from(SUPPORTED_ORDERS),
-    data=st.data(),
+    payload=st.binary(min_size=1, max_size=30),
 )
-def test_mod_demod_roundtrip(order, data):
+def test_mod_demod_roundtrip(order, payload):
     spec = build_constellation(order)
-    n = data.draw(st.integers(min_value=1, max_value=30))
-    bits = data.draw(
-        st.lists(st.integers(0, 1), min_size=n * spec.bits_per_symbol,
-                 max_size=n * spec.bits_per_symbol)
-    )
-    bits = np.reshape(bits, (n, spec.bits_per_symbol))
-    labels, syms = modulate(spec, bits)
+    bps = spec.bits_per_symbol
+    n = len(payload) * 8 // bps
+    labels, syms = modulate(spec, payload, (n,))
     np.testing.assert_array_equal(demodulate(spec, syms), labels)
-    np.testing.assert_array_equal(_label_bits(labels, spec.bits_per_symbol), bits)
+    np.testing.assert_array_equal(_label_bits(labels, bps).reshape(-1),
+                                  np.unpackbits(np.frombuffer(payload, np.uint8))[:n * bps])
     np.testing.assert_allclose(spec.points[labels], syms)
 
 

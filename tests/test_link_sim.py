@@ -17,6 +17,8 @@ from slpsim.link_sim import (
     sweep_points,
 )
 
+from ber_oracle import expected_trial_errors
+
 INF = float("inf")
 
 
@@ -276,6 +278,23 @@ def test_serial_and_pool_sweeps_transmit_the_blocks_simulate_block_draws(monkeyp
             assert result.n_bit_errors == block.n_bit_errors, (snr_db, trial)
             assert result.n_user_block_errors == block.n_user_block_errors, (snr_db, trial)
             assert np.array_equal(result.f_ideal, block.f_ideal), (snr_db, trial)
+
+
+def test_bit_errors_match_the_exact_conditional_oracle(monkeypatch):
+    # Given a trial's channel, block and broadcast, its bit errors have the
+    # oracle's mean, so the paired z of (Monte Carlo - expected) per trial is
+    # about N(0, 1) at every point; the schemes and points share their noise.
+    monkeypatch.setenv(link_sim.WORKERS_ENV, "1")
+    cfg = make_cfg(users=4, antennas=4, block_len=10, snr_db=(20.0, 30.0), channels=200, seed=1)
+    for scheme in Scheme:
+        for snr_db, (record, results) in zip(cfg.snr_db, sweep_points(cfg, scheme)):
+            sigma2 = sigma2_from_snr(snr_db, cfg.block_len)
+            assert record.n_failed == 0 and record.n_errors >= 50, (scheme, snr_db)
+            diff = np.array([result.n_bit_errors - expected_trial_errors(cfg, scheme, sigma2,
+                                                                         trial_rng(cfg.seed, trial))
+                             for trial, result in enumerate(results)])
+            z = diff.mean() / (diff.std(ddof=1) / np.sqrt(diff.size))
+            assert abs(z) <= 4, (scheme, snr_db, z)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM])
