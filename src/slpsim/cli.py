@@ -1,7 +1,7 @@
-"""Command-line front end: experiment configs, SNR sweeps, CSV output, verification.
+"""Command-line front end: experiment configs, SNR sweeps, CSV output.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime or solver
-failure, 3 verification failure.
+failure.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import sys
 from enum import Enum
 from pathlib import Path
 
-from . import power_alloc, slp_core
-from .channel import trial_rng
 from .errors import ConfigurationError
-from .link_sim import BlockResult, Experiment, LinkConfig, draw_block, run_monte_carlo, sweep_points
+from .link_sim import BlockResult, Experiment, LinkConfig, run_monte_carlo, sweep_points
 
 # Column orders are part of the output contract; never reorder.
 SWEEP_COLUMNS = [
@@ -81,7 +79,7 @@ def _parse_schemes(text: str) -> tuple:
 
 # Config keys in LinkConfig field order, each with the parser that reads its
 # text, from a config file or from the command line alike, and the one flag
-# that sets it in `slpsim run` and `slpsim verify`.
+# that sets it in `slpsim run`.
 _FIELDS = {
     "users": (int, "--users"),
     "antennas": (int, "--antennas"),
@@ -260,36 +258,6 @@ def run_experiment(cfg: LinkConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Verification
-# ---------------------------------------------------------------------------
-
-def check_slp_solutions(cfg: LinkConfig) -> tuple[bool, str]:
-    """Solve each symbol of trials 0 and 1 of ``seed``, the blocks ``draw_block`` gives the run,
-    through the per-symbol API (``build_instance``, ``solve_ci_max``) on one channel view
-    per block; check each solve's status, constraints and duality gap. Returns (passed, detail)."""
-    n_blocks = 2
-    worst = worst_gap = 0.0
-    min_margin = math.inf
-    non_optimal = 0
-    for trial in range(n_blocks):
-        spec, H, _, symbols = draw_block(cfg, trial_rng(cfg.seed, trial))
-        channel = slp_core.ChannelRealization(H)
-        for inst in (slp_core.build_instance(channel, vector, spec) for vector in symbols.T):
-            sol = slp_core.solve_ci_max(inst)
-            non_optimal += sol.status is not slp_core.SolverStatus.OPTIMAL
-            report = slp_core.verify_solution(inst, sol, tol=1e-6)
-            worst = max(worst, report.inner, report.outer, report.ball, report.norm_dev)
-            worst_gap = max(worst_gap, sol.gap)
-            min_margin = min(min_margin, sol.margin)
-    passed = non_optimal == 0 and worst <= 1e-6 and min_margin > power_alloc.MIN_MARGIN
-    return passed, (
-        f"{n_blocks} blocks of {cfg.block_len}: "
-        f"{non_optimal} non-optimal solves, worst residual {worst:.2e}, "
-        f"worst duality gap {worst_gap:.2e}, smallest margin {min_margin:.3g}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
@@ -307,12 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Symbol-level precoding link simulator with in-block power allocation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in (("run", "run an experiment and write its CSV"),
-                          ("verify", "check the CI solver on the first two blocks that run solves")):
-        command_parser = sub.add_parser(command, help=text, allow_abbrev=False)
-        command_parser.add_argument("--config", help="key = value experiment file")
-        for key, (_, flag) in _FIELDS.items():
-            command_parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"config key {key}")
+    run = sub.add_parser("run", help="run an experiment and write its CSV", allow_abbrev=False)
+    run.add_argument("--config", help="key = value experiment file")
+    for key, (_, flag) in _FIELDS.items():
+        run.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"config key {key}")
     return parser
 
 
@@ -329,12 +295,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         flags = {key: text for key, text in vars(args).items() if key in _FIELDS}
-        cfg = parse_config(args.config, flags)
-        if args.command == "verify":
-            passed, detail = check_slp_solutions(cfg)
-            print(f"{'PASS' if passed else 'FAIL'} slp-solver: {detail}")
-            return 0 if passed else 3
-        return run_experiment(cfg)
+        return run_experiment(parse_config(args.config, flags))
     except (ConfigurationError, OSError) as exc:  # bad flag, config, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return 1

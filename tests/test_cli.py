@@ -20,7 +20,6 @@ from slpsim.cli import (
     _FIELDS,
     SWEEP_COLUMNS,
     TRACE_COLUMNS,
-    check_slp_solutions,
     main,
     parse_config,
     parse_snr_values,
@@ -117,6 +116,10 @@ def test_parse_config_duplicate_key_names_its_line(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "run_experiment", seen.append)
     main(["run", "--users", "3", "--antennas", "3", "--users", "2"])
     assert seen[0].users == 2
+    # a flag overrides the file's key
+    cfg_file.write_text("seed = 9\n")
+    main(["run", "--config", str(cfg_file), "--seed", "5"])
+    assert seen[1].seed == 5
 
 
 def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
@@ -125,15 +128,13 @@ def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
     with pytest.raises(ConfigurationError, match="not UTF-8"):
         parse_config(cfg_file)
     out = tmp_path / "x.csv"
-    for argv in (["run", "--config", str(cfg_file), "--out", str(out)],
-                 ["verify", "--config", str(cfg_file)]):
-        assert main(argv) == 1, argv
-        err = capsys.readouterr().err
-        assert str(cfg_file) in err and "not UTF-8" in err, err
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg_file) in err and "not UTF-8" in err, err
     assert not out.exists()
 
 
-def test_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path, capsys):
+def test_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path):
     cfg_file = tmp_path / "bom.cfg"
     cfg_file.write_bytes("\ufeffusers = 2\nantennas = 2\nblock_len = 5\n".encode())
     cfg = parse_config(cfg_file)
@@ -144,8 +145,6 @@ def test_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path, capsys):
     with open(out) as fh:
         [row] = list(csv.DictReader(fh))
     assert row["K"] == "2" and row["M"] == "5"
-    assert main(["verify", "--config", str(cfg_file)]) == 0
-    assert capsys.readouterr().out.startswith("PASS slp-solver: 2 blocks of 5:")
 
 
 def test_parse_config_comments_and_schemes(tmp_path):
@@ -192,9 +191,13 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         assert main(["run", *bad, "--out", str(tmp_path / "x.csv")]) == 1, bad
         assert bad[0].lstrip("-") in capsys.readouterr().err.lower()
     assert main([]) == 1
-    assert main(["verify", "--seed", "x"]) == 1
-    assert main(["verify", "--seed", "-5"]) == 1
-    assert "seed" in capsys.readouterr().err
+    # run is the one subcommand
+    assert main(["verify"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "verify" in err, err
+    for seed in ("x", "-5"):
+        assert main(["run", "--seed", seed, "--out", str(tmp_path / "x.csv")]) == 1, seed
+        assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     with pytest.raises(SystemExit) as help_exit:
         main(["run", "--help"])
@@ -261,37 +264,23 @@ def test_cli_flag_after_a_value_flag_is_not_taken_as_its_value(tmp_path, capsys,
     (["run", "--snr", "10"], "--snr"),
     (["run", "--o", "x.csv"], "--o"),
     (["run", "--conf", "exp.cfg"], "--conf"),
-    (["verify", "--se", "3"], "--se"),
+    (["run", "--se", "3"], "--se"),
 ])
 def test_cli_prefix_of_a_flag_is_not_that_flag(tmp_path, monkeypatch, capsys, argv, token):
     monkeypatch.chdir(tmp_path)
     ran = []
     monkeypatch.setattr(cli, "run_experiment", ran.append)
-    monkeypatch.setattr(cli, "check_slp_solutions", ran.append)
     assert main(argv) == 1
     assert f"unrecognized arguments: {token}" in capsys.readouterr().err
     assert ran == []
 
 
-def test_cli_verify_takes_every_key_by_flag(tmp_path, capsys):
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("users = 3\nantennas = 5\nblock_len = 7\nseed = 2\n")
-    assert main(["verify", "--users", "3", "--antennas", "5", "--block-len", "7", "--seed", "2"]) == 0
-    by_flag = capsys.readouterr().out
-    assert main(["verify", "--config", str(cfg_file)]) == 0
-    assert capsys.readouterr().out == by_flag
-    assert by_flag.startswith("PASS slp-solver: 2 blocks of 7:")
-
-
-def test_cli_run_and_verify_list_the_same_flags(capsys):
-    listed = []
-    for command in ("run", "verify"):
-        with pytest.raises(SystemExit) as help_exit:
-            main([command, "--help"])
-        assert help_exit.value.code == 0
-        listed.append(sorted(set(re.findall(r"--[a-z-]+", capsys.readouterr().out))))
-    assert listed[0] == listed[1]
-    assert listed[0] == sorted(["--help", "--config", *(flag for _, flag in _FIELDS.values())])
+def test_cli_run_lists_one_flag_per_key(capsys):
+    with pytest.raises(SystemExit) as help_exit:
+        main(["run", "--help"])
+    assert help_exit.value.code == 0
+    listed = sorted(set(re.findall(r"--[a-z-]+", capsys.readouterr().out)))
+    assert listed == sorted(["--help", "--config", *(flag for _, flag in _FIELDS.values())])
 
 
 @pytest.mark.parametrize("key, flag, text", [
@@ -325,60 +314,6 @@ def test_cli_non_finite_power_or_huge_feedback_exits_1(tmp_path, capsys, line, f
     assert rc == 1
     assert (line.split(" ")[0] or "feedback_bits") in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_verify_solver_suite_solves_each_symbol_through_the_per_symbol_api(monkeypatch):
-    calls = []
-    original = slp_core.classify_component
-
-    def counting(spec, points):
-        calls.append(np.shape(points))
-        return original(spec, points)
-
-    monkeypatch.setattr(slp_core, "classify_component", counting)
-    cfg = LinkConfig(users=3, antennas=5, modulation=64, block_len=7)
-    passed, detail = check_slp_solutions(cfg)
-    assert passed, detail
-    assert calls == [(3,)] * 14  # one classification per symbol vector of two blocks of 7
-    assert detail.startswith("2 blocks of 7: 0 non-optimal solves")
-
-
-def test_verify_factors_each_block_channel_once(monkeypatch):
-    # the symbols of a block share one channel view, so its whitener is built once
-    calls = []
-    original = np.linalg.cholesky
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    passed, detail = check_slp_solutions(LinkConfig(users=3, antennas=5, block_len=7))
-    assert passed, detail
-    assert calls == [(6, 6)] * 2  # one 2K x 2K Gram factorization per block of two
-
-
-def test_verify_solves_the_blocks_of_the_runs_first_two_trials(monkeypatch):
-    # K < N_T, a non-default order and seed: verify certifies what the run transmits
-    cfg = LinkConfig(users=3, antennas=5, modulation=64, block_len=7, seed=4)
-    solved = []
-    original = slp_core.solve_ci_max
-
-    def recording(instance, *args, **kwargs):
-        solved.append((instance.channel.H, instance.symbols))
-        return original(instance, *args, **kwargs)
-
-    monkeypatch.setattr(slp_core, "solve_ci_max", recording)
-    passed, detail = check_slp_solutions(cfg)
-    assert passed, detail
-    verified = list(solved)
-    solved.clear()
-    for trial in (0, 1):
-        link_sim.simulate_block(cfg, Scheme.SLP_IN_BLOCK, 0.0, trial_rng(cfg.seed, trial))
-    assert len(verified) == len(solved) == 2 * cfg.block_len
-    for (H_verified, s_verified), (H_run, s_run) in zip(verified, solved):
-        assert np.array_equal(H_verified, H_run)
-        assert np.array_equal(s_verified, s_run)
 
 
 def test_cli_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
@@ -1049,63 +984,31 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verification_suites_pass():
-    passed, detail = check_slp_solutions(LinkConfig(seed=0))
-    assert passed, detail
-
-
-def test_verification_detects_non_optimal_solve(monkeypatch):
-    original = slp_core.solve_ci_max
-
-    def max_iter(instance, opts=None):
-        sol = original(instance, opts)
-        sol.status = slp_core.SolverStatus.MAX_ITER
-        return sol
-
-    monkeypatch.setattr(slp_core, "solve_ci_max", max_iter)
-    passed, detail = check_slp_solutions(LinkConfig(block_len=5))
-    assert not passed
-    assert "10 non-optimal solves" in detail
-
-
-def test_cli_verify_exit_code():
-    assert main(["verify", "--seed", "0"]) == 0
-
-
-def test_cli_verify_takes_the_seed_from_the_config_file(tmp_path, capsys):
-    five, nine = tmp_path / "five.cfg", tmp_path / "nine.cfg"
-    five.write_text("seed = 5\n")
-    nine.write_text("seed = 9\n")
-
-    def solver_line(*args):
-        assert main(["verify", *args]) == 0
-        return capsys.readouterr().out
-
-    seeded_by_flag = solver_line("--seed", "5")
-    assert solver_line("--config", str(five)) == seeded_by_flag
-    assert solver_line("--config", str(nine)) != seeded_by_flag
-    # an explicit --seed overrides the file's key, as run's flags do
-    assert solver_line("--config", str(nine), "--seed", "5") == seeded_by_flag
-
-
-def test_cli_verify_failure_exit_code(monkeypatch, capsys):
-    import slpsim.cli as cli
-
-    monkeypatch.setattr(cli, "check_slp_solutions", lambda cfg: (False, "injected"))
-    assert main(["verify"]) == 3
-    assert capsys.readouterr().out == "FAIL slp-solver: injected\n"
-
-
-def test_cli_verify_fails_on_a_margin_the_allocation_rejects(tmp_path, monkeypatch, capsys):
-    # a channel 1e-13 times a Rayleigh draw gives margins at or below MIN_MARGIN
+def test_cli_run_discards_a_trial_whose_margin_the_allocation_rejects(tmp_path, monkeypatch, caplog,
+                                                                     capsys):
+    # a channel 1e-13 times a Rayleigh draw gives certified margins at or below MIN_MARGIN
     draw = link_sim.generate_channel
     monkeypatch.setattr(link_sim, "generate_channel", lambda *args: 1e-13 * draw(*args))
-    cfg_file = tmp_path / "small.cfg"
-    cfg_file.write_text("block_len = 5\n")
-    assert main(["verify", "--config", str(cfg_file)]) == 3
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL slp-solver: 2 blocks of 5: 0 non-optimal solves")
-    assert 0 < float(out.split("smallest margin ")[1]) <= power_alloc.MIN_MARGIN
+    margins = []
+    solve = slp_core.solve_block
+
+    def recording(*args):
+        X, block_margins = solve(*args)
+        margins.extend(block_margins)
+        return X, block_margins
+
+    monkeypatch.setattr(slp_core, "solve_block", recording)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scheme", "SLP_IN_BLOCK", "--block-len", "5", "--snr-db", "30",
+                 "--channels", "2", "--out", str(out)]) == 2
+    assert len(margins) == 2 * 5
+    assert 0 < min(margins) <= power_alloc.MIN_MARGIN
+    for trial in (0, 1):
+        assert (f"trial discarded (scheme=SLP_IN_BLOCK, snr=30.0 dB, seed=1, trial={trial}): "
+                "DegenerateMarginError") in caplog.text
+    assert "runtime failure: SolverFailure: every trial failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_runtime_failure_exit_code(monkeypatch, capsys):

@@ -325,6 +325,24 @@ def test_only_the_ci_solve_builds_a_channel_view(monkeypatch):
         assert len(built) == (cfg.channels * len(cfg.snr_db) if slp else 0), scheme
 
 
+def test_an_slp_block_factors_its_gram_matrix_once(monkeypatch):
+    # the symbols of a block share one channel view, so its whitener is built once
+    calls = []
+    original = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    cfg = make_cfg(users=3, antennas=5, block_len=7)
+    for scheme in (Scheme.SLP_IN_BLOCK, Scheme.SLP_UNIFORM):
+        calls.clear()
+        for trial in (0, 1):
+            simulate_block(cfg, scheme, sigma2_from_snr(20.0, cfg.block_len), trial_rng(cfg.seed, trial))
+        assert calls == [(6, 6)] * 2, scheme  # one 2K x 2K Gram factorization per block
+
+
 def test_non_optimal_ci_solve_discards_the_trial(monkeypatch):
     original = slp_core.solve_ci_max
 
@@ -375,6 +393,19 @@ def test_metrics_consistency():
         rec.ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, Scheme.ZF
     )
     assert rec.bler == pytest.approx(1 - (1 - rec.ber) ** (cfg.block_len * 4))
+
+
+def test_bler_counted_is_the_share_of_user_blocks_with_an_error():
+    # counted by hand from each trial's stream, at points where the share is neither 0 nor 1
+    cfg = make_cfg(snr_db=(15.0, 20.0), channels=20, seed=1)
+    for scheme in Scheme:
+        for record, _ in sweep_points(cfg, scheme):
+            sigma2 = sigma2_from_snr(record.snr_db, cfg.block_len)
+            errored = sum(simulate_block(cfg, scheme, sigma2, trial_rng(cfg.seed, t)).n_user_block_errors
+                          for t in range(cfg.channels))
+            assert record.n_failed == 0
+            assert 0 < record.bler_counted < 1, (scheme, record.snr_db)
+            assert record.bler_counted == errored / (cfg.channels * cfg.users), (scheme, record.snr_db)
 
 
 def test_ber_decreases_with_snr():
