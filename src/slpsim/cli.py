@@ -103,6 +103,9 @@ def _parse_field(key: str, text: str, where: str):
 
 
 def _read_config_file(path) -> dict:
+    # checked before it is opened: a FIFO with no writer blocks, and /dev/zero never ends
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ConfigurationError(f"{path}: not a regular file")
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -247,7 +250,8 @@ def run_experiment(cfg: LinkConfig) -> int:
         columns, make_rows = TRACE_COLUMNS, _trace_rows
     else:
         columns, make_rows = SWEEP_COLUMNS, _sweep_rows
-    out = Path(cfg.out).resolve()  # through a symlink, even a dangling one, onto its target
+    # through a symlink, even a dangling one, onto its target; a loop fails the stat with ELOOP
+    out = Path(os.path.realpath(cfg.out))  # Path.resolve raises RuntimeError there before 3.13
     with contextlib.suppress(FileNotFoundError):  # a new out is made by the rename
         # checked before it is opened: opening a FIFO that has no reader blocks
         if not stat.S_ISREG(out.stat().st_mode):

@@ -87,9 +87,9 @@ class LinkConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        # each integer key (a NumPy integer too, not a bool) in its range, stored as int
+        # each integer key (a NumPy integer too, not a bool) in its range (modulation's: below), stored as int
         for key, low, high in (("users", 1, math.inf), ("antennas", 1, math.inf), ("block_len", 1, math.inf),
-                               ("modulation", SUPPORTED_ORDERS[0], SUPPORTED_ORDERS[-1]),
+                               ("modulation", -math.inf, math.inf),
                                ("feedback_bits", 1, MAX_FEEDBACK_BITS), ("channels", 0, math.inf),
                                ("seed", 0, math.inf)):
             value = getattr(self, key)

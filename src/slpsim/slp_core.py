@@ -86,7 +86,6 @@ import numpy as np
 from .constellation import ConstellationSpec, classify_component
 from .errors import SolverFailure
 
-_AXES = ("re", "im")
 # Rounding scale of the NNLS residual E u - e, per unit of 1 + sum(u): the
 # entries of E are at most 1 in magnitude but for the offsets, which sum
 # against u to about 1.
@@ -187,17 +186,9 @@ class CiInstance:
             raise ValueError(f"outer mask needs 2K entries, got shape {np.shape(self.outer)}")
 
     @property
-    def inner_index_set(self) -> tuple[tuple[int, str], ...]:
-        return _index_set(~self.outer)
-
-    @property
-    def outer_index_set(self) -> tuple[tuple[int, str], ...]:
-        return _index_set(self.outer)
-
-
-def _index_set(mask: np.ndarray) -> tuple[tuple[int, str], ...]:
-    """(k, "re"|"im") pairs of a component mask, k ascending, re before im."""
-    return tuple([(i // 2, _AXES[i % 2]) for i in np.flatnonzero(mask).tolist()])
+    def outer_index_set(self) -> np.ndarray:
+        """Interleaved outer indices, kept only for bench/harness.py's outer_share (ROADMAP item 1a)."""
+        return np.flatnonzero(self.outer)
 
 
 @dataclass

@@ -105,16 +105,15 @@ def max_margin_bruteforce(inner_rows, outer_rows, margin_tol=1e-4):
 
 
 def margin_oracle_for_instance(instance, margin_tol=1e-4):
-    """Brute-force margin for a CiInstance (builds the rows independently)."""
+    """Brute-force margin for a CiInstance (builds the rows independently).
+
+    Row 2k is user k's real axis and row 2k+1 its imaginary axis, the
+    interleaved order of ``instance.outer``."""
     H = instance.channel.H
     s = instance.symbols
-    n_tx = H.shape[1]
-    rows = {}
+    rows = np.empty((2 * H.shape[0], 2 * H.shape[1]))
     for k in range(H.shape[0]):
-        rows[(k, "re")] = np.concatenate([H[k].real, -H[k].imag]) / s[k].real
-        rows[(k, "im")] = np.concatenate([H[k].imag, H[k].real]) / s[k].imag
-    inner = [rows[key] for key in instance.inner_index_set]
-    outer = [rows[key] for key in instance.outer_index_set]
-    inner_rows = np.array(inner) if inner else np.zeros((0, 2 * n_tx))
-    outer_rows = np.array(outer) if outer else np.zeros((0, 2 * n_tx))
-    return max_margin_bruteforce(inner_rows, outer_rows, margin_tol=margin_tol)
+        rows[2 * k] = np.concatenate([H[k].real, -H[k].imag]) / s[k].real
+        rows[2 * k + 1] = np.concatenate([H[k].imag, H[k].real]) / s[k].imag
+    outer = np.asarray(instance.outer)
+    return max_margin_bruteforce(rows[~outer], rows[outer], margin_tol=margin_tol)

@@ -595,6 +595,35 @@ def test_cli_fifo_out_exits_1_and_is_left_as_it_was(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]  # no temporary file left behind
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_cli_config_that_is_not_a_regular_file_exits_1(tmp_path):
+    """Reading a FIFO that has no writer blocks and reading /dev/zero never
+    ends, so each run is a subprocess with a timeout; /dev/null is refused
+    with them rather than read as an empty config."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "x.csv"
+    for config in (str(fifo), "/dev/zero", "/dev/null", str(tmp_path)):
+        proc = subprocess.run([sys.executable, "-m", "slpsim.cli", "run", "--config", config,
+                               "--out", str(out)],
+                              env=_env_with_src(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"error: {config}: not a regular file\n"
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_cli_out_in_a_symlink_loop_exits_1(tmp_path, capsys):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.symlink_to(second)
+    second.symlink_to(first)
+    for out in (first, first / "x.csv"):
+        assert main(["run", "--scheme", "ZF", "--users", "2", "--antennas", "2", "--block-len", "4",
+                     "--snr-db", "10", "--channels", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: {str(out)!r}\n"
+    assert sorted(tmp_path.iterdir()) == [first, second]  # no .slpsim-* file left behind
+
+
 def test_cli_pool_starts_no_more_workers_than_a_point_has_trials(tmp_path, monkeypatch):
     sizes = []
 

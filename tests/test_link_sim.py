@@ -97,6 +97,17 @@ def test_config_rejects_a_wrong_type_naming_its_key(key, value):
         make_cfg(**{key: value})
 
 
+# an unsupported order gets the one message, below 4, above 256 or between
+@pytest.mark.parametrize("order, message", [
+    *((order, f"modulation must be one of (4, 16, 64, 256), got {order}") for order in (2, 3, 5, 512)),
+    (16.0, "modulation must be an integer, got 16.0"),
+])
+def test_config_names_the_supported_orders_for_any_other_modulation(order, message):
+    with pytest.raises(ConfigurationError) as refused:
+        make_cfg(modulation=order)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("experiment", ["BER_SWEEP", "F_TRACE"])
 @pytest.mark.parametrize("numpy_keys", [
     {"users": np.int64(2), "antennas": np.int64(2), "block_len": np.int64(4), "modulation": np.int64(16),

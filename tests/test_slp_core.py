@@ -54,25 +54,23 @@ def test_build_instance_mixed_types():
     H = generate_channel(2, 2, trial_rng(0))
     symbols = np.array([(1 + 1j), (3 + 3j)]) / np.sqrt(10)  # type A, type D
     inst = build_instance(ChannelRealization(H), symbols, SPEC16)
-    assert len(inst.inner_index_set) == 2
-    assert len(inst.outer_index_set) == 2
-    assert set(inst.inner_index_set) == {(0, "re"), (0, "im")}
-    assert set(inst.outer_index_set) == {(1, "re"), (1, "im")}
+    assert inst.outer.tolist() == [False, False, True, True]
+    assert inst.outer_index_set.tolist() == [2, 3]
 
 
 def test_build_instance_qpsk_all_outer():
     H = generate_channel(1, 1, trial_rng(1))
     inst = build_instance(ChannelRealization(H), [SPEC4.points[0]], SPEC4)
-    assert len(inst.inner_index_set) == 0
-    assert len(inst.outer_index_set) == 2
+    assert inst.outer.tolist() == [True, True]
+    assert inst.outer_index_set.tolist() == [0, 1]
 
 
 def test_build_instance_all_inner():
     H = generate_channel(3, 3, trial_rng(2))
     symbols = np.full(3, (1 + 1j) / np.sqrt(10))
     inst = build_instance(ChannelRealization(H), symbols, SPEC16)
-    assert len(inst.inner_index_set) == 6
-    assert len(inst.outer_index_set) == 0
+    assert inst.outer.tolist() == [False] * 6
+    assert inst.outer_index_set.size == 0
 
 
 def test_build_instance_rejects_foreign_symbol():
@@ -118,14 +116,9 @@ def test_index_sets_follow_the_classification():
     symbols = spec.points[rng.integers(0, 64, 6)]
     inst = build_instance(ChannelRealization(channel), symbols, spec)
     mask = classify_component(spec, symbols)
-    re_outer, im_outer = mask[..., 0::2], mask[..., 1::2]
-    expected = {True: [], False: []}
-    for k in range(6):
-        expected[bool(re_outer[k])].append((k, "re"))
-        expected[bool(im_outer[k])].append((k, "im"))
-    assert expected[True] and expected[False]
-    assert inst.outer_index_set == tuple(expected[True])
-    assert inst.inner_index_set == tuple(expected[False])
+    assert mask.any() and not mask.all()
+    assert np.array_equal(inst.outer, mask)
+    assert np.array_equal(inst.outer_index_set, np.flatnonzero(mask))
 
 
 def test_instance_mask_must_cover_the_2k_components():
@@ -427,7 +420,7 @@ def test_scale_equivariance(seed, scale):
 @given(seed=st.integers(0, 10_000))
 def test_relaxing_inner_to_outer_never_hurts(seed):
     inst = random_instance(seed, users=3, antennas=3)
-    if not inst.inner_index_set:
+    if inst.outer.all():
         return
     outer = inst.outer.copy()
     outer[np.flatnonzero(~outer)[0]] = True  # the first inner component
