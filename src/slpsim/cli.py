@@ -58,15 +58,18 @@ def parse_snr_values(text: str) -> tuple:
         raise ConfigurationError(f"cannot parse snr_db value {text!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in (start, step, stop)):
         raise ConfigurationError(f"snr_db range bounds must be finite, got {text!r}")
-    if step <= 0:
-        raise ConfigurationError(f"snr_db step must be > 0, got {step}")
+    # points are kept to 9 decimals: a finer step would repeat them
+    if step < 1e-9:
+        raise ConfigurationError(f"snr_db step must be >= 1e-9 dB, got {step}")
     values = []
     v = start
-    while v <= stop + 1e-9:
+    while round(v, 9) <= round(stop, 9):
         if len(values) == MAX_SNR_POINTS:
             raise ConfigurationError(f"snr_db range {text!r} has more than {MAX_SNR_POINTS} points")
         values.append(round(v, 9))
         v += step
+    if len(set(values)) < len(values):  # a step of about 1e-9 from a start off the 1e-9 grid
+        raise ConfigurationError(f"snr_db range {text!r} repeats a point rounded to 9 decimals")
     return tuple(values)
 
 

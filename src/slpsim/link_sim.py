@@ -10,8 +10,8 @@ symbol duration.
 
 Determinism contract: each trial index gets one random substream derived
 from the experiment seed, so results are bit-identical regardless of
-execution order or worker count. ``simulate_block`` states the order of its
-draws.
+execution order or worker count. ``transmit`` draws a trial and states
+the order of its draws; ``simulate_block`` receives it and counts its errors.
 """
 
 from __future__ import annotations
@@ -198,45 +198,31 @@ def quantize_broadcast(f: np.ndarray, feedback_bits: int, rng: np.random.Generat
     return f_hat
 
 
-def effective_throughput(
-    bit_error_rate: float,
-    modulation: int,
-    users: int,
-    block_len: int,
-    feedback_bits: int,
-    scheme: Scheme,
-) -> float:
+def effective_throughput(block_success: float, bits_per_symbol: int, users: int, block_len: int,
+                         feedback_bits: int, scheme: Scheme) -> float:
     """Goodput after subtracting the rescaling-factor signaling overhead.
 
+    ``block_success`` is the probability that a user's block has no bit error.
     Block-level schemes pay B / M bits of overhead per symbol duration,
     uniform-power SLP pays B (one broadcast every symbol duration).
     """
-    if not 0.0 <= bit_error_rate <= 1.0:
-        raise ValueError(f"bit error rate must be in [0, 1], got {bit_error_rate}")
-    bits_per_symbol = int(np.log2(modulation))
+    if not 0.0 <= block_success <= 1.0:
+        raise ValueError(f"block success probability must be in [0, 1], got {block_success}")
     overhead = feedback_bits / block_len if scheme in BLOCK_LEVEL_SCHEMES else float(feedback_bits)
-    goodput = (1.0 - bit_error_rate) ** (block_len * bits_per_symbol) * bits_per_symbol * users
-    return max(goodput - overhead, 0.0)
+    return max(block_success * bits_per_symbol * users - overhead, 0.0)
 
 
-def draw_block(cfg: LinkConfig, rng: np.random.Generator):
-    """(spec, H, labels, symbols): the constellation, then from ``rng`` the channel and
-    the block's payload bytes, which ``modulate``, the one owner of a label's bit
-    order, reads as Gray labels and their points."""
-    spec = build_constellation(cfg.modulation)
-    H = generate_channel(cfg.users, cfg.antennas, rng)
-    n_bits = cfg.users * cfg.block_len * spec.bits_per_symbol
-    labels, symbols = modulate(spec, rng.bytes(-(-n_bits // 8)), (cfg.users, cfg.block_len))
-    return spec, H, labels, symbols
+def transmit(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.random.Generator):
+    """Draw one trial of ``scheme`` from ``rng``: (spec, labels, signal, noise, broadcast, f_ideal).
 
+    ``signal`` is the noiseless (K, M) receive block sqrt(p)·(H X) and ``noise``
+    its CN(0, sigma2) noise; the receiver gets ``broadcast[None, :] * (signal +
+    noise)``. ``f_ideal`` holds the ideal rescaling factor of every symbol.
 
-def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.random.Generator) -> BlockResult:
-    """Draw one trial of ``scheme`` from ``rng``: transmit a block and count receiver bit errors.
-
-    Determinism contract: ``rng`` gives, in this order, the channel and the
-    payload bytes (both by ``draw_block``; ``modulate`` reads the bytes as
-    labels), one unit-variance noise block that ``sigma2`` scales (drawn at
-    ``sigma2 = 0`` too) and the broadcast error. Every SNR point
+    Determinism contract: ``rng`` gives, in this order, the channel, the
+    payload bytes (``modulate``, the one owner of a label's bit order, reads
+    them as Gray labels), one unit-variance noise block that ``sigma2`` scales
+    (drawn at ``sigma2 = 0`` too) and the broadcast error. Every SNR point
     of a trial draws from its one substream, so an SNR point only scales the
     noise. Another order or draw moves every seeded number.
 
@@ -248,7 +234,10 @@ def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.rando
     """
     scheme = Scheme(scheme)
     K, M = cfg.users, cfg.block_len
-    spec, H, labels, symbols = draw_block(cfg, rng)
+    spec = build_constellation(cfg.modulation)
+    H = generate_channel(K, cfg.antennas, rng)
+    n_bits = K * M * spec.bits_per_symbol
+    labels, symbols = modulate(spec, rng.bytes(-(-n_bits // 8)), (K, M))
     noise = sample_noise(sigma2, K * M, rng).reshape(K, M)
 
     if scheme in SLP_SCHEMES:
@@ -271,7 +260,14 @@ def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.rando
     # one stands for all; for in-block SLP, f_spread shows that equalization.
     broadcast = quantize_broadcast(f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal,
                                    cfg.feedback_bits, rng)
-    received = broadcast[None, :] * (np.sqrt(powers)[None, :] * (H @ precoded) + noise)
+    signal = np.sqrt(powers)[None, :] * (H @ precoded)
+    return spec, labels, signal, noise, broadcast, f_ideal
+
+
+def simulate_block(cfg: LinkConfig, scheme: Scheme, sigma2: float, rng: np.random.Generator) -> BlockResult:
+    """Draw one trial of ``scheme`` from ``rng`` by ``transmit`` and count the receiver's bit errors."""
+    spec, labels, signal, noise, broadcast, f_ideal = transmit(cfg, scheme, sigma2, rng)
+    received = broadcast[None, :] * (signal + noise)
     errors_per_user = bit_errors(labels, demodulate(spec, received)).sum(axis=1)
     return BlockResult(
         n_bit_errors=int(errors_per_user.sum()),
@@ -314,10 +310,10 @@ def _aggregate(cfg: LinkConfig, scheme: Scheme, snr_db: float, results: list) ->
     n_errors = sum(b.n_bit_errors for b in blocks)
     ber = n_errors / n_bits
     bler_counted = sum(b.n_user_block_errors for b in blocks) / (len(blocks) * cfg.users)
-    bler = 1.0 - (1.0 - ber) ** (cfg.block_len * bps)
-    t_eff = effective_throughput(
-        ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, scheme
-    )
+    # one user's block succeeds when all its M·bps bits do, each independently of the others
+    block_success = (1.0 - ber) ** (cfg.block_len * bps)
+    bler = 1.0 - block_success
+    t_eff = effective_throughput(block_success, bps, cfg.users, cfg.block_len, cfg.feedback_bits, scheme)
     mean_f = sum(float(b.f_ideal.sum()) for b in blocks) / (len(blocks) * cfg.block_len)
     f_spread = max(b.f_spread for b in blocks)
     return MetricsRecord(

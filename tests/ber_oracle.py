@@ -21,9 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from slpsim import baselines, power_alloc, slp_core
-from slpsim.channel import sample_noise
-from slpsim.link_sim import BLOCK_LEVEL_SCHEMES, SLP_SCHEMES, Scheme, draw_block, quantize_broadcast
+from slpsim.link_sim import Scheme, transmit
 
 
 def expected_bit_errors(spec, labels, sample, f_hat, sigma2: float) -> np.ndarray:
@@ -50,25 +48,6 @@ def expected_bit_errors(spec, labels, sample, f_hat, sigma2: float) -> np.ndarra
 
 def expected_trial_errors(cfg, scheme: Scheme, sigma2: float, rng: np.random.Generator) -> float:
     """The expected bit errors of the trial that ``simulate_block(cfg, scheme,
-    sigma2, rng)`` transmits, rebuilt through the engine's public draws in its
-    order: the block, the noise (drawn to advance ``rng``, and left out), the
-    precoder or CI solves, the powers and the broadcast error."""
-    K, M = cfg.users, cfg.block_len
-    spec, H, labels, symbols = draw_block(cfg, rng)
-    sample_noise(0.0, K * M, rng)
-    if scheme in SLP_SCHEMES:
-        precoded, margins = slp_core.solve_block(H, symbols, spec)
-        if scheme is Scheme.SLP_IN_BLOCK:
-            powers = power_alloc.allocate_in_block(margins, power_alloc.P_T).powers
-        else:
-            powers = power_alloc.allocate_uniform(M)
-        f_ideal = power_alloc.per_symbol_rescaling(margins, powers)
-    else:
-        prec = baselines.zf_precoder(H) if scheme is Scheme.ZF else baselines.rzf_precoder(H, sigma2, M)
-        precoded = prec.W @ symbols
-        powers = power_alloc.allocate_uniform(M)
-        f_ideal = np.full(M, baselines.baseline_rescaling(prec, powers[0]))
-    f_hat = quantize_broadcast(f_ideal[:1] if scheme in BLOCK_LEVEL_SCHEMES else f_ideal,
-                               cfg.feedback_bits, rng)
-    sample = f_hat * np.sqrt(powers) * (H @ precoded)
-    return float(expected_bit_errors(spec, labels, sample, f_hat, sigma2).sum())
+    sigma2, rng)`` receives: ``transmit``'s draw, its noise left out."""
+    spec, labels, signal, _, broadcast, _ = transmit(cfg, scheme, sigma2, rng)
+    return float(expected_bit_errors(spec, labels, broadcast * signal, broadcast, sigma2).sum())

@@ -322,13 +322,13 @@ def test_c6_throughput_ordering(desk_sweep):
     t_uni = desk_sweep[Scheme.SLP_UNIFORM]["records"][idx_hi].t_eff
 
     # error-free limits, exact (no tolerance)
-    block_limit = effective_throughput(0.0, 16, 12, 200, 5, Scheme.SLP_IN_BLOCK)
-    uniform_limit = effective_throughput(0.0, 16, 12, 200, 5, Scheme.SLP_UNIFORM)
+    block_limit = effective_throughput(1.0, 4, 12, 200, 5, Scheme.SLP_IN_BLOCK)
+    uniform_limit = effective_throughput(1.0, 4, 12, 200, 5, Scheme.SLP_UNIFORM)
     exact = (
         block_limit == np.log2(16) * 12 - 5 / 200
         and uniform_limit == np.log2(16) * 12 - 5
-        and effective_throughput(0.0, 16, 12, 200, 5, Scheme.ZF) == block_limit
-        and effective_throughput(0.0, 16, 12, 200, 5, Scheme.RZF) == block_limit
+        and effective_throughput(1.0, 4, 12, 200, 5, Scheme.ZF) == block_limit
+        and effective_throughput(1.0, 4, 12, 200, 5, Scheme.RZF) == block_limit
     )
     ok = t_ib > t_zf and t_ib > t_uni and exact
     _report(

@@ -42,6 +42,16 @@ def test_parse_snr_range():
     for text in ("0:5:inf", "-inf:5:40", "nan:5:40", "0:nan:40", "0:1e-6:40", "1e20:1:1e21"):
         with pytest.raises(ConfigurationError):
             parse_snr_values(text)
+    # a point is kept while it rounds, to 9 decimals, to at most stop; a finer step would repeat points
+    assert parse_snr_values("0:1e-9:1e-9") == (0.0, 1e-9)
+    assert parse_snr_values("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
+    assert parse_snr_values("-10:5:0") == (-10.0, -5.0, 0.0)
+    for text in ("0:1e-10:1e-9", "0:9.99e-10:1", "0:0:1"):
+        with pytest.raises(ConfigurationError, match="step must be >= 1e-9 dB"):
+            parse_snr_values(text)
+    for text in ("5e-10:1e-9:5e-9", "1.5e-9:1e-9:6e-9"):
+        with pytest.raises(ConfigurationError, match="repeats a point"):
+            parse_snr_values(text)
     # nan and -inf parse as numbers but have no noise variance
     for text in ("nan", "-inf", "10,nan"):
         with pytest.raises(ConfigurationError):
@@ -286,6 +296,7 @@ def test_cli_run_lists_one_flag_per_key(capsys):
 @pytest.mark.parametrize("key, flag, text", [
     ("users", "--users", "abc"),
     ("snr_db", "--snr-db", "0:-5:40"),
+    ("snr_db", "--snr-db", "0:1e-10:1e-9"),
     ("schemes", "--scheme", "ZF,,RZF"),
 ])
 def test_cli_bad_value_names_its_flag_or_file_line(tmp_path, capsys, key, flag, text):
@@ -767,8 +778,9 @@ def test_cli_pooled_point_discards_failed_trials_of_either_share(tmp_path, monke
     assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
-@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
-def test_cli_read_only_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+def _check_refused_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys, refuse):
+    """Both experiments, onto an out that ``refuse(out)`` makes unwritable, exit 1
+    before their first trial and leave out, and its directory, as they were."""
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the output path was checked")
 
@@ -776,12 +788,32 @@ def test_cli_read_only_out_fails_before_the_first_trial(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "sweep_points", no_trials)
     out = tmp_path / "kept.csv"
     out.write_text("previous,results\n")
-    out.chmod(0o444)
+    refuse(out)
     for experiment in ("BER_SWEEP", "F_TRACE"):
         assert main(["run", "--experiment", experiment, "--scheme", "ZF", "--out", str(out)]) == 1
         assert "kept.csv" in capsys.readouterr().err
     assert out.read_text() == "previous,results\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_cli_read_only_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    _check_refused_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys, lambda out: out.chmod(0o444))
+
+
+def test_cli_out_refused_by_the_write_probe_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    # the read-only test's contract for any user, root too: opening out to write gets EACCES
+    def refuse(out):
+        real_open = os.open
+
+        def open_refusing_out(path, *args, **kwargs):
+            if os.path.realpath(path) == os.path.realpath(out):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", open_refusing_out)
+
+    _check_refused_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys, refuse)
 
 
 def test_cli_failing_last_scheme_keeps_the_out_that_was_there(tmp_path, monkeypatch, capsys):

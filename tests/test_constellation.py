@@ -13,9 +13,9 @@ from slpsim.constellation import (
     demodulate,
     modulate,
 )
-from slpsim.channel import generate_channel, trial_rng
+from slpsim.channel import generate_channel, sample_noise, trial_rng
 from slpsim.cli import run_experiment
-from slpsim.link_sim import WORKERS_ENV, Experiment, LinkConfig, draw_block
+from slpsim.link_sim import WORKERS_ENV, Experiment, LinkConfig, Scheme, quantize_broadcast, transmit
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -230,21 +230,25 @@ def test_modulate_reads_every_byte_value_as_labels_of_the_constellation(order):
 @pytest.mark.parametrize("bps", [2, 4, 6, 8])
 @pytest.mark.parametrize("users, block_len", [(1, 1), (3, 7), (4, 50), (12, 200)])
 def test_modulate_labels_are_the_bits_of_the_next_payload_bytes(users, block_len, bps):
-    # a trial's order: the channel, then the payload bytes, then the noise
+    # a trial's order: the channel, the payload bytes, the noise, then the broadcast error
     cfg = LinkConfig(users=users, antennas=users, block_len=block_len, modulation=1 << bps)
+    sigma2 = 0.1
     for seed in (0, 1, 2026):
         rng, twin = trial_rng(seed, 5), trial_rng(seed, 5)
-        spec, H, labels, points = draw_block(cfg, rng)
-        np.testing.assert_array_equal(H, generate_channel(users, users, twin))
-        assert labels.shape == points.shape == (users, block_len)
-        np.testing.assert_array_equal(points, spec.points[labels])
+        spec, labels, signal, noise, broadcast, f_ideal = transmit(cfg, Scheme.ZF, sigma2, rng)
+        generate_channel(users, users, twin)
+        assert labels.shape == signal.shape == noise.shape == (users, block_len)
+        # ZF delivers each label's point, scaled by 1 / f
+        np.testing.assert_allclose(f_ideal[0] * signal, spec.points[labels], atol=1e-9)
         # MSB first, from the next ceil(n / 8) bytes, the last one's low bits unused
         n_bits = labels.size * bps
         raw = np.frombuffer(twin.bytes(-(-n_bits // 8)), np.uint8)
         np.testing.assert_array_equal(_label_bits(labels, bps).reshape(-1), np.unpackbits(raw)[:n_bits])
-        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where bytes leaves it
-        assert np.array_equal(draw_block(cfg, trial_rng(seed, 5, 1))[2],
-                              draw_block(cfg, trial_rng(seed, 5, 1))[2])
+        np.testing.assert_array_equal(noise.reshape(-1), sample_noise(sigma2, labels.size, twin))
+        np.testing.assert_array_equal(broadcast, quantize_broadcast(f_ideal[:1], cfg.feedback_bits, twin))
+        assert rng.standard_normal() == twin.standard_normal()  # the stream ends where the trial leaves it
+        assert np.array_equal(transmit(cfg, Scheme.ZF, sigma2, trial_rng(seed, 5, 1))[1],
+                              transmit(cfg, Scheme.ZF, sigma2, trial_rng(seed, 5, 1))[1])
 
 
 def test_modulate_takes_any_generators_bytes_and_count():

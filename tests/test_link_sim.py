@@ -218,12 +218,14 @@ def test_every_module_reads_the_one_block_budget_when_called(monkeypatch):
 
 
 def test_effective_throughput_values():
-    assert effective_throughput(0.0, 16, 12, 200, 5, Scheme.SLP_IN_BLOCK) == 48 - 5 / 200
-    assert effective_throughput(0.0, 16, 12, 200, 5, Scheme.SLP_UNIFORM) == 48 - 5
+    # (block success probability, bits per symbol, K, M, B, scheme)
+    assert effective_throughput(1.0, 4, 12, 200, 5, Scheme.SLP_IN_BLOCK) == 48 - 5 / 200
+    assert effective_throughput(1.0, 4, 12, 200, 5, Scheme.SLP_UNIFORM) == 48 - 5
     for scheme in Scheme:
-        assert effective_throughput(1.0, 16, 12, 200, 5, scheme) == 0.0
-    with pytest.raises(ValueError):
-        effective_throughput(1.5, 16, 12, 200, 5, Scheme.ZF)
+        assert effective_throughput(0.0, 4, 12, 200, 5, scheme) == 0.0
+    for bad in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            effective_throughput(bad, 4, 12, 200, 5, Scheme.ZF)
 
 
 def test_run_monte_carlo_empty():
@@ -400,10 +402,12 @@ def test_metrics_consistency():
     rec = run_monte_carlo(cfg, Scheme.ZF)[0]
     assert rec.ber == rec.n_errors / rec.n_bits
     assert 0.0 <= rec.ber <= 1.0
+    block_success = (1 - rec.ber) ** (cfg.block_len * 4)
+    assert 0 < block_success < 1
+    assert rec.bler == 1 - block_success
     assert rec.t_eff == effective_throughput(
-        rec.ber, cfg.modulation, cfg.users, cfg.block_len, cfg.feedback_bits, Scheme.ZF
+        block_success, 4, cfg.users, cfg.block_len, cfg.feedback_bits, Scheme.ZF
     )
-    assert rec.bler == pytest.approx(1 - (1 - rec.ber) ** (cfg.block_len * 4))
 
 
 def test_bler_counted_is_the_share_of_user_blocks_with_an_error():
